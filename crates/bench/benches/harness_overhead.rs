@@ -64,7 +64,7 @@ fn sim_trial(seed: u64, tracer: &mut bscope_uarch::Tracer) -> u64 {
     for i in 0..512u64 {
         let addr = 0x30_0000 + (i % 64) * 2;
         let taken = bscope_bpu::Outcome::from_bool(splitmix64(seed ^ i) & 1 == 1);
-        acc = acc.wrapping_add(core.execute_branch(addr, taken).latency);
+        acc = acc.wrapping_add(core.timed_branch_in(0, addr, taken, None).1);
     }
     *tracer = core.take_tracer();
     acc

@@ -32,7 +32,7 @@ fn samples(
         // desired prediction and record the second execution.
         sys.cpu(pid).branch_at_abs(addr, predicted);
         sys.core_mut().bpu_mut().set_pht_state(addr, state);
-        out.push(sys.cpu(pid).branch_at_abs(addr, executed).latency);
+        out.push(sys.cpu(pid).timed_branch_at_abs(addr, executed));
     }
     out
 }

@@ -269,6 +269,15 @@ impl CpuView<'_> {
         self.core.execute_branch_in(self.proc.ctx(), addr, outcome, None)
     }
 
+    /// Executes a conditional branch at an absolute virtual address
+    /// bracketed by `rdtscp`, returning the latency in cycles the pair
+    /// measures (§8, Fig. 7) — the measured counterpart of
+    /// [`CpuView::branch_at_abs`]. The timestamp pair is all a timing
+    /// attacker sees of the branch.
+    pub fn timed_branch_at_abs(&mut self, addr: VirtAddr, outcome: Outcome) -> u64 {
+        self.core.timed_branch_in(self.proc.ctx(), addr, outcome, None).1
+    }
+
     /// Reads the timestamp counter (`rdtscp`).
     #[must_use]
     pub fn rdtscp(&self) -> u64 {

@@ -4,7 +4,7 @@ use crate::counters::PerfCounters;
 use crate::event::BranchEvent;
 use crate::icache::InstructionCache;
 use crate::noise::NoiseConfig;
-use crate::policy::{BpuPolicy, MeasurementFuzz, NoPolicy};
+use crate::policy::{BpuPolicy, MeasurementFuzz};
 use crate::timing::TimingModel;
 use bscope_bpu::{
     HybridPredictor, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind,
@@ -31,6 +31,14 @@ pub const NOISE_CTX: ContextId = ContextId::MAX;
 /// All stochastic behaviour (latency jitter, noise) flows from the seed
 /// passed to [`SimCore::new`], so every experiment is reproducible.
 ///
+/// Branches retire through one of two entry points that share the noise,
+/// predictor, clock and counter path and consume the same random words:
+/// the throughput entries ([`SimCore::execute_branch`] and friends) never
+/// turn those words into a latency, the measured entry
+/// ([`SimCore::timed_branch_in`]) does — a latency exists only where an
+/// attacker brackets the branch with `rdtscp`. Mixing the two therefore
+/// never changes what the simulation does next.
+///
 /// # Example
 ///
 /// ```
@@ -53,7 +61,13 @@ pub struct SimCore {
     last_noise_tsc: u64,
     rng: StdRng,
     noise: Option<NoiseParams>,
-    policy: Box<dyn BpuPolicy>,
+    /// `exp(-λ)` of the Poisson noise count for each elapsed-cycle value up
+    /// to the largest single-branch clock advance (see [`noise_arrivals`]);
+    /// empty when noise is off or outside Knuth's regime.
+    noise_exp: Box<[f64]>,
+    /// Installed mitigation; `None` is the unmitigated machine and costs no
+    /// dynamic calls.
+    policy: Option<Box<dyn BpuPolicy>>,
     fuzz: Option<MeasurementFuzz>,
     /// Structured-event tracer; disabled (and free) by default.
     tracer: Tracer,
@@ -104,7 +118,8 @@ impl SimCore {
             last_noise_tsc: 0,
             rng: StdRng::seed_from_u64(seed),
             noise: None,
-            policy: Box::new(NoPolicy),
+            noise_exp: Box::default(),
+            policy: None,
             fuzz: None,
             tracer: Tracer::disabled(),
         }
@@ -113,7 +128,7 @@ impl SimCore {
     /// Installs a hardware mitigation policy (see [`BpuPolicy`]); the
     /// default is the unmitigated machine.
     pub fn set_policy(&mut self, policy: Box<dyn BpuPolicy>) {
-        self.policy = policy;
+        self.policy = Some(policy);
     }
 
     /// Installs measurement-channel fuzzing (noisy counters/timers, §10.2),
@@ -145,6 +160,13 @@ impl SimCore {
             cfg.validate()?;
         }
         self.noise = noise.as_ref().map(NoiseParams::from);
+        // Back-to-back branches are at most one fully stalled branch apart
+        // at the noise check; longer gaps fall back to `poisson`.
+        let max_advance = self.timing.advance_with_btb(true, true, true);
+        self.noise_exp = match self.noise {
+            Some(cfg) => poisson_table(cfg.branches_per_kcycle, max_advance),
+            None => Box::default(),
+        };
         Ok(())
     }
 
@@ -219,9 +241,12 @@ impl SimCore {
         &mut self.icache
     }
 
-    /// Current value of the timestamp counter (`rdtscp`, §8). Reading it is
-    /// free in the model; measurement overhead is folded into branch
-    /// latencies, as in the paper's measurements.
+    /// Current value of the timestamp counter (`rdtscp`, §8): the simulated
+    /// clock, which branches advance by their throughput cost
+    /// ([`TimingModel::advance_with_btb`]) and [`SimCore::advance_cycles`]
+    /// by its argument. Reading it is free in the model; the overhead of an
+    /// `rdtscp`-bracketed measurement is folded into the latency the
+    /// measured entry ([`SimCore::timed_branch_in`]) returns.
     #[must_use]
     pub fn rdtscp(&self) -> u64 {
         self.tsc
@@ -252,8 +277,8 @@ impl SimCore {
     /// Executes one conditional branch in an explicit context.
     ///
     /// Injects pending background noise first (if configured), then runs
-    /// the branch through the shared BPU, charges its latency on the cycle
-    /// clock and records it in `ctx`'s performance counters.
+    /// the branch through the shared BPU, advances the cycle clock by its
+    /// throughput cost and records it in `ctx`'s performance counters.
     pub fn execute_branch_in(
         &mut self,
         ctx: ContextId,
@@ -275,56 +300,95 @@ impl SimCore {
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> BranchEvent {
+        self.retire(ctx, addr, outcome, target, false).0
+    }
+
+    /// The measured counterpart of [`SimCore::execute_branch_in`]: the same
+    /// branch, bracketed by `rdtscp`. Returns the event and the latency in
+    /// cycles the `rdtscp` pair reports (§8, Fig. 7), including any timing
+    /// fuzz; the clock itself still advances by the throughput cost.
+    pub fn timed_branch_in(
+        &mut self,
+        ctx: ContextId,
+        addr: VirtAddr,
+        outcome: Outcome,
+        target: Option<VirtAddr>,
+    ) -> (BranchEvent, u64) {
+        self.inject_pending_noise();
+        let (event, latency) = self.retire(ctx, addr, outcome, target, true);
+        (event, latency.expect("a measured branch's latency is shaped"))
+    }
+
+    /// Runs one branch through the policy, the BPU, the clock and the
+    /// counters. Its latency words are always drawn, so both entry points
+    /// consume the same RNG stream; they are shaped into cycles only when
+    /// the branch is `measured` or a tracer records it.
+    fn retire(
+        &mut self,
+        ctx: ContextId,
+        addr: VirtAddr,
+        outcome: Outcome,
+        target: Option<VirtAddr>,
+        measured: bool,
+    ) -> (BranchEvent, Option<u64>) {
         let cold = !self.icache.touch(addr);
         // Set when the BPU commit path ran for a taken branch (the only
         // case that installs a BTB entry); feeds the trace event below.
         let mut btb_install: Option<(VirtAddr, VirtAddr)> = None;
-        let (prediction, mispredicted) = if self.policy.bypass_prediction(ctx, addr) {
-            // §10.2 "removing prediction for sensitive branches": static
-            // not-taken prediction, no BPU state touched.
-            let prediction = Prediction {
-                direction: Outcome::NotTaken,
-                used: PredictorKind::Bimodal,
-                bimodal: Outcome::NotTaken,
-                gshare: Outcome::NotTaken,
-                btb_hit: false,
-                target: None,
-            };
-            (prediction, outcome.is_taken())
-        } else {
-            let indexed = self.policy.index_addr(ctx, addr);
-            if self.policy.suppress_update(ctx, addr) {
-                // Stochastic-FSM defense: predict normally, skip the state
-                // transition for this dynamic branch.
-                let prediction = self.bpu.predict(indexed);
-                (prediction, prediction.direction != outcome)
+        let (prediction, mispredicted) =
+            if self.policy.as_ref().is_some_and(|p| p.bypass_prediction(ctx, addr)) {
+                // §10.2 "removing prediction for sensitive branches": static
+                // not-taken prediction, no BPU state touched.
+                let prediction = Prediction {
+                    direction: Outcome::NotTaken,
+                    used: PredictorKind::Bimodal,
+                    bimodal: Outcome::NotTaken,
+                    gshare: Outcome::NotTaken,
+                    btb_hit: false,
+                    target: None,
+                };
+                (prediction, outcome.is_taken())
             } else {
-                let (prediction, correct) = self.bpu.execute(indexed, outcome, target);
-                if outcome.is_taken() {
-                    btb_install = Some((indexed, target.unwrap_or(indexed + 2)));
+                let indexed = self.policy.as_ref().map_or(addr, |p| p.index_addr(ctx, addr));
+                if self.policy.as_mut().is_some_and(|p| p.suppress_update(ctx, addr)) {
+                    // Stochastic-FSM defense: predict normally, skip the
+                    // state transition for this dynamic branch.
+                    let prediction = self.bpu.predict(indexed);
+                    (prediction, prediction.direction != outcome)
+                } else {
+                    let (prediction, correct) = self.bpu.execute(indexed, outcome, target);
+                    if outcome.is_taken() {
+                        btb_install = Some((indexed, target.unwrap_or(indexed + 2)));
+                    }
+                    (prediction, !correct)
                 }
-                (prediction, !correct)
-            }
-        };
-        self.policy.on_branch(self.tsc);
-        // `latency` is what an rdtscp pair around this branch would report
-        // (Fig. 7); the core clock advances by the much smaller throughput
-        // cost of straight-line execution.
+            };
+        if let Some(policy) = &mut self.policy {
+            policy.on_branch(self.tsc);
+        }
+        // The latency is what an rdtscp pair around this branch would
+        // report (Fig. 7); the core clock advances by the much smaller
+        // throughput cost of straight-line execution.
         let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-        let mut latency =
-            self.timing.sample_with_btb(&mut self.rng, mispredicted, cold, taken_btb_miss);
+        let draw = self.timing.draw(&mut self.rng);
         self.tsc += self.timing.advance_with_btb(mispredicted, cold, taken_btb_miss);
         let mut recorded_miss = mispredicted;
+        let mut jitter = None;
         if let Some(fuzz) = self.fuzz {
-            latency = fuzz.fuzz_latency(&mut self.rng, latency);
+            jitter = fuzz.draw_jitter(&mut self.rng);
             recorded_miss = fuzz.fuzz_miss(&mut self.rng, mispredicted);
         }
         let slot = ctx as usize;
         if slot >= self.counters.len() {
             self.counters.resize(slot + 1, PerfCounters::new());
         }
-        self.counters[slot].record_branch(recorded_miss, latency);
-        if self.tracer.is_enabled() {
+        self.counters[slot].record_branch(recorded_miss);
+        let traced = self.tracer.is_enabled();
+        let latency = (measured || traced).then(|| {
+            let latency = self.timing.shape(draw, mispredicted, cold, taken_btb_miss);
+            self.fuzz.map_or(latency, |fuzz| fuzz.jitter_latency(latency, jitter))
+        });
+        if let Some(latency) = latency.filter(|_| traced) {
             self.tracer.emit_with(|| TraceEvent::Branch {
                 ctx,
                 addr,
@@ -339,7 +403,7 @@ impl SimCore {
                 self.tracer.emit_with(|| TraceEvent::BtbInstall { addr, target });
             }
         }
-        BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, latency, cold }
+        (BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, cold }, latency)
     }
 
     /// Injects `n` background branches immediately (regardless of the
@@ -353,7 +417,7 @@ impl SimCore {
         for _ in 0..n {
             let addr = self.rng.gen_range(cfg.addr_lo..cfg.addr_hi);
             let outcome = Outcome::from_bool(self.rng.gen_bool(cfg.taken_bias));
-            let indexed = self.policy.index_addr(NOISE_CTX, addr);
+            let indexed = self.policy.as_ref().map_or(addr, |p| p.index_addr(NOISE_CTX, addr));
             self.bpu.execute(indexed, outcome, None);
         }
         if n > 0 {
@@ -373,8 +437,7 @@ impl SimCore {
         if elapsed == 0 {
             return;
         }
-        let lambda = cfg.branches_per_kcycle * elapsed as f64 / 1_000.0;
-        let n = poisson(&mut self.rng, lambda);
+        let n = noise_arrivals(&mut self.rng, cfg.branches_per_kcycle, &self.noise_exp, elapsed);
         if n > 0 {
             self.inject_noise_burst(n);
         }
@@ -387,17 +450,56 @@ impl SimCore {
     }
 }
 
+/// The mean background-branch count over `elapsed` cycles.
+fn noise_lambda(branches_per_kcycle: f64, elapsed: u64) -> f64 {
+    branches_per_kcycle * elapsed as f64 / 1_000.0
+}
+
+/// `exp(-λ)` for every elapsed-cycle count `0..=max_elapsed`, so the
+/// per-branch noise check skips the `exp()`. Empty unless every nonzero
+/// count falls in [`poisson`]'s Knuth regime, where the table reproduces it
+/// exactly.
+fn poisson_table(branches_per_kcycle: f64, max_elapsed: u64) -> Box<[f64]> {
+    let top = noise_lambda(branches_per_kcycle, max_elapsed);
+    if !(branches_per_kcycle > 0.0 && top <= POISSON_KNUTH_MAX) {
+        return Box::default();
+    }
+    (0..=max_elapsed).map(|e| (-noise_lambda(branches_per_kcycle, e)).exp()).collect()
+}
+
+/// Background branches arriving over `elapsed` cycles: [`poisson`] with
+/// its `exp()` looked up in `table` (from [`poisson_table`]) when it is
+/// there. Same count, same RNG words.
+fn noise_arrivals<R: Rng + ?Sized>(
+    rng: &mut R,
+    branches_per_kcycle: f64,
+    table: &[f64],
+    elapsed: u64,
+) -> usize {
+    match table.get(elapsed as usize) {
+        Some(&l) if elapsed > 0 => knuth_poisson(rng, l),
+        _ => poisson(rng, noise_lambda(branches_per_kcycle, elapsed)),
+    }
+}
+
+/// Largest rate [`poisson`] samples with Knuth's method.
+const POISSON_KNUTH_MAX: f64 = 64.0;
+
 /// Poisson sampler: Knuth's method for small rates, a Gaussian
 /// approximation for large ones (where Knuth's product underflows).
 fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
     if lambda <= 0.0 {
         return 0;
     }
-    if lambda > 64.0 {
+    if lambda > POISSON_KNUTH_MAX {
         let n = lambda + lambda.sqrt() * crate::timing::gaussian(rng);
         return n.max(0.0).round() as usize;
     }
-    let l = (-lambda).exp();
+    knuth_poisson(rng, (-lambda).exp())
+}
+
+/// Knuth's method given `l = exp(-λ)`.
+fn knuth_poisson<R: Rng + ?Sized>(rng: &mut R, l: f64) -> usize {
     let mut k = 0usize;
     let mut p = 1.0f64;
     loop {
@@ -486,7 +588,10 @@ mod tests {
                 .with_noise(NoiseConfig::system_activity())
                 .unwrap();
             (0..100)
-                .map(|i| c.execute_branch(0x9000 + i * 3, Outcome::from_bool(i % 3 == 0)).latency)
+                .map(|i| {
+                    let outcome = Outcome::from_bool(i % 3 == 0);
+                    c.timed_branch_in(0, 0x9000 + i * 3, outcome, None).1
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -527,7 +632,10 @@ mod tests {
             }
             c.trace_span_begin(Span::Prime);
             let events: Vec<u64> = (0..300)
-                .map(|i| c.execute_branch(0x9000 + i * 3, Outcome::from_bool(i % 3 == 0)).latency)
+                .map(|i| {
+                    let outcome = Outcome::from_bool(i % 3 == 0);
+                    c.timed_branch_in(0, 0x9000 + i * 3, outcome, None).1
+                })
                 .collect();
             c.trace_span_end(Span::Prime);
             (events, c.rdtscp(), c.take_tracer().drain())
@@ -560,7 +668,7 @@ mod tests {
         for _ in 0..3 {
             c.execute_branch(0x700, Outcome::Taken);
         }
-        let ev = c.execute_branch(0x700, Outcome::NotTaken);
+        let (ev, measured) = c.timed_branch_in(0, 0x700, Outcome::NotTaken, None);
         assert!(ev.mispredicted);
         let capture = c.take_tracer().drain();
         let branches: Vec<&TracedEvent> = capture
@@ -572,12 +680,81 @@ mod tests {
         match branches[3].event {
             TraceEvent::Branch { taken, predicted_taken, mispredicted, latency, .. } => {
                 assert!(!taken && predicted_taken && mispredicted);
-                assert_eq!(latency, ev.latency);
+                assert_eq!(latency, measured);
             }
             _ => unreachable!(),
         }
         // The three taken branches each installed their BTB entry.
         assert_eq!(capture.metrics.counter("btb_installs"), 3);
+    }
+
+    /// The throughput and measured entries differ only in whether the
+    /// latency words are shaped: a core driven through either one consumes
+    /// the same RNG words and ends in the same state, noise and fuzz
+    /// included.
+    #[test]
+    fn throughput_and_measured_paths_stay_in_lockstep() {
+        let run = |measured: bool| {
+            let mut c = SimCore::new(MicroarchProfile::skylake(), 21)
+                .with_noise(NoiseConfig::system_activity())
+                .unwrap();
+            c.set_measurement_fuzz(Some(MeasurementFuzz::strong())).unwrap();
+            let mut events = Vec::new();
+            // Cold first touches, then warm taken and not-taken branches at
+            // the same addresses, with a wait in between.
+            for round in 0..3u64 {
+                for i in 0..200u64 {
+                    let addr = 0x9000 + i * 6;
+                    let outcome = Outcome::from_bool((i + round) % 3 == 0);
+                    let ctx = (i % 2) as ContextId;
+                    events.push(if measured {
+                        c.timed_branch_in(ctx, addr, outcome, None).0
+                    } else {
+                        c.execute_branch_in(ctx, addr, outcome, None)
+                    });
+                }
+                c.advance_cycles(2_000);
+            }
+            let pht: Vec<_> = (0..200u64).map(|i| c.bpu().pht_state(0x9000 + i * 6)).collect();
+            let btb: Vec<_> = (0..200u64).map(|i| c.bpu().btb().lookup(0x9000 + i * 6)).collect();
+            let counters = [c.counters(0), c.counters(1)];
+            (events, c.rdtscp(), counters, c.bpu().stats(), pht, btb, c.fork_rng().gen::<u64>())
+        };
+        let (throughput, measured) = (run(false), run(true));
+        assert!(throughput.0.iter().any(|e| e.cold) && throughput.0.iter().any(|e| !e.cold));
+        assert_eq!(throughput.0, measured.0, "branch events");
+        assert_eq!(throughput.1, measured.1, "rdtscp");
+        assert_eq!(throughput.2, measured.2, "performance counters");
+        assert_eq!(throughput.3, measured.3, "predictor stats");
+        assert_eq!(throughput.4, measured.4, "PHT state");
+        assert_eq!(throughput.5, measured.5, "BTB state");
+        assert_eq!(throughput.6, measured.6, "next fork_rng value");
+    }
+
+    /// The `exp()` table reproduces `poisson()` exactly: same count, same
+    /// RNG words, over the table's range and past it.
+    #[test]
+    fn poisson_table_matches_poisson() {
+        let max = TimingModel::default().advance_with_btb(true, true, true);
+        let presets =
+            [NoiseConfig::isolated_core(), NoiseConfig::system_activity(), NoiseConfig::heavy()];
+        for bpk in presets.map(|cfg| cfg.branches_per_kcycle) {
+            let table = poisson_table(bpk, max);
+            assert_eq!(table.len() as u64, max + 1);
+            for elapsed in 0..=max + 5 {
+                for seed in 0..50 {
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = a.clone();
+                    let via_table = noise_arrivals(&mut a, bpk, &table, elapsed);
+                    let direct = poisson(&mut b, noise_lambda(bpk, elapsed));
+                    assert_eq!(via_table, direct, "count at elapsed {elapsed}, bpk {bpk}");
+                    assert_eq!(a, b, "RNG state at elapsed {elapsed}, bpk {bpk}");
+                }
+            }
+        }
+        // Rates outside Knuth's regime, and no noise at all, get no table.
+        assert!(poisson_table(0.0, max).is_empty());
+        assert!(poisson_table(2_000.0, max).is_empty());
     }
 
     #[test]

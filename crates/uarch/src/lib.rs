@@ -49,7 +49,7 @@ pub use core_impl::{ContextId, SimCore, NOISE_CTX};
 // Re-exported so downstream crates can instrument a core without naming
 // `bscope-trace` directly.
 pub use bscope_trace::{Span, TraceEvent, TracedEvent, Tracer};
-pub use policy::{BpuPolicy, MeasurementFuzz, NoPolicy};
+pub use policy::{BpuPolicy, MeasurementFuzz};
 pub use counters::PerfCounters;
 pub use event::BranchEvent;
 pub use icache::InstructionCache;

@@ -9,13 +9,15 @@
 
 use crate::config::ConfigError;
 use crate::core_impl::ContextId;
+use crate::timing::GaussianDraw;
 use bscope_bpu::VirtAddr;
 use rand::Rng;
 
 /// A hardware-level branch prediction policy installed on a core.
 ///
-/// The default implementation is the unmitigated machine: identity index
-/// mapping and every branch predicted dynamically.
+/// Each default method behaves like the unmitigated machine: identity
+/// index mapping and every branch predicted dynamically. A core without a
+/// policy installed makes none of these calls.
 pub trait BpuPolicy: std::fmt::Debug + Send {
     /// The address presented to the predictor structures for a branch of
     /// context `ctx` at architectural address `addr`. Index randomization
@@ -51,12 +53,6 @@ pub trait BpuPolicy: std::fmt::Debug + Send {
         false
     }
 }
-
-/// The unmitigated baseline policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoPolicy;
-
-impl BpuPolicy for NoPolicy {}
 
 /// Measurement-channel fuzzing (§10.2 "Other solutions"): degrade the
 /// attacker's ability to observe branch outcomes by adding noise to the
@@ -112,12 +108,17 @@ impl MeasurementFuzz {
         }
     }
 
-    /// Applies timing fuzz to a measured latency.
-    pub(crate) fn fuzz_latency<R: Rng + ?Sized>(&self, rng: &mut R, latency: u64) -> u64 {
-        if self.extra_timing_sigma <= 0.0 {
-            return latency;
-        }
-        let jitter = self.extra_timing_sigma * crate::timing::gaussian(rng);
+    /// Draws the timing-fuzz words for one branch (none when
+    /// `extra_timing_sigma` is zero). Every branch draws them; only a
+    /// measured one shapes them with [`MeasurementFuzz::jitter_latency`].
+    pub(crate) fn draw_jitter<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<GaussianDraw> {
+        (self.extra_timing_sigma > 0.0).then(|| GaussianDraw::draw(rng))
+    }
+
+    /// Applies drawn timing fuzz to a measured latency.
+    pub(crate) fn jitter_latency(&self, latency: u64, jitter: Option<GaussianDraw>) -> u64 {
+        let Some(jitter) = jitter else { return latency };
+        let jitter = self.extra_timing_sigma * jitter.value();
         (latency as f64 + jitter).max(1.0).round() as u64
     }
 }
@@ -127,13 +128,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn no_policy_is_identity() {
-        let p = NoPolicy;
-        assert_eq!(p.index_addr(3, 0x1234), 0x1234);
-        assert!(!p.bypass_prediction(3, 0x1234));
-    }
 
     #[test]
     fn fuzz_flips_at_configured_rate() {
@@ -149,7 +143,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         assert!(fuzz.fuzz_miss(&mut rng, true));
         assert!(!fuzz.fuzz_miss(&mut rng, false));
-        assert_eq!(fuzz.fuzz_latency(&mut rng, 120), 120);
+        let jitter = fuzz.draw_jitter(&mut rng);
+        assert!(jitter.is_none(), "zero sigma draws no words");
+        assert_eq!(fuzz.jitter_latency(120, jitter), 120);
     }
 
     #[test]

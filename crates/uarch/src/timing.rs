@@ -39,10 +39,32 @@ impl TimingModel {
 
     /// Samples a measured latency, additionally charging the front-end
     /// fetch-redirect bubble of a taken branch that missed the BTB — the
-    /// signal prior BTB-presence attacks time (§11).
+    /// signal prior BTB-presence attacks time (§11). This is the draw
+    /// step followed by the shaping step.
     pub fn sample_with_btb<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
+        mispredicted: bool,
+        cold: bool,
+        taken_btb_miss: bool,
+    ) -> u64 {
+        self.shape(self.draw(rng), mispredicted, cold, taken_btb_miss)
+    }
+
+    /// Draws the random words of one latency sample without turning them
+    /// into cycles: the two Gaussian uniforms, the spike decision and, when
+    /// the spike fires, its magnitude. Every branch draws these, so the RNG
+    /// stream is the same whether or not its latency is ever read.
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> LatencyDraw {
+        let gauss = GaussianDraw::draw(rng);
+        let spike = rng.gen_bool(self.params.spike_probability).then(|| rng.gen_range(1e-9..1.0));
+        LatencyDraw { gauss, spike }
+    }
+
+    /// Turns drawn words into a measured latency in cycles.
+    pub(crate) fn shape(
+        &self,
+        draw: LatencyDraw,
         mispredicted: bool,
         cold: bool,
         taken_btb_miss: bool,
@@ -60,10 +82,9 @@ impl TimingModel {
             mean += p.cold_miss_extra;
             sigma = (sigma * sigma + p.cold_jitter_sigma * p.cold_jitter_sigma).sqrt();
         }
-        let mut cycles = mean + sigma * gaussian(rng);
-        if rng.gen_bool(p.spike_probability) {
+        let mut cycles = mean + sigma * draw.gauss.value();
+        if let Some(u) = draw.spike {
             // Exponential spike: rare interrupts / SMT contention / TLB walks.
-            let u: f64 = rng.gen_range(1e-9..1.0);
             cycles += p.spike_cycles * (-u.ln());
         }
         // A branch plus two rdtscp reads can never be arbitrarily fast; the
@@ -71,6 +92,15 @@ impl TimingModel {
         let floor = (p.base_hit_cycles * 0.65).max(1.0);
         cycles.max(floor).round() as u64
     }
+}
+
+/// The random words of one latency sample ([`TimingModel::draw`]), not yet
+/// shaped into cycles ([`TimingModel::shape`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LatencyDraw {
+    gauss: GaussianDraw,
+    /// The spike's uniform, present only when the spike fired.
+    spike: Option<f64>,
 }
 
 impl Default for TimingModel {
@@ -109,12 +139,30 @@ impl TimingModel {
     }
 }
 
-/// Standard normal sample via the Box–Muller transform (the `rand`
-/// crate alone does not ship distributions).
+/// The two uniforms of one Box–Muller standard-normal sample (the `rand`
+/// crate alone does not ship distributions), drawn apart from the
+/// transcendental math so callers can skip it when the value goes unread.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GaussianDraw {
+    u1: f64,
+    u2: f64,
+}
+
+impl GaussianDraw {
+    pub(crate) fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        let u1 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2 = rng.gen_range(0.0..1.0);
+        GaussianDraw { u1, u2 }
+    }
+
+    pub(crate) fn value(self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt() * (std::f64::consts::TAU * self.u2).cos()
+    }
+}
+
+/// Standard normal sample via the Box–Muller transform.
 pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    GaussianDraw::draw(rng).value()
 }
 
 #[cfg(test)]
