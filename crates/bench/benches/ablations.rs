@@ -93,7 +93,7 @@ fn perceptron_substrate(c: &mut Criterion) {
         });
     });
     group.bench_function("hybrid_execute", |b| {
-        let mut bpu = bscope_bpu::HybridPredictor::new(MicroarchProfile::skylake());
+        let mut bpu = bscope_bpu::BackendKind::Hybrid.build(MicroarchProfile::skylake());
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hot attack primitives.
 
 use bscope_bench::attack_fixture;
-use bscope_bpu::{HybridPredictor, MicroarchProfile, Outcome, PhtState};
+use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, PhtState};
 use bscope_core::reverse::hamming_ratio;
 use bscope_core::{
     probe_with_counters, DecodedState, ProbeKind, RandomizationBlock, TargetedPrime,
@@ -17,7 +17,7 @@ fn bpu_execute(c: &mut Criterion) {
     let mut group = c.benchmark_group("bpu_execute");
     group.throughput(Throughput::Elements(1));
     group.bench_function("hybrid_predict_update", |b| {
-        let mut bpu = HybridPredictor::new(MicroarchProfile::skylake());
+        let mut bpu = BackendKind::Hybrid.build(MicroarchProfile::skylake());
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(1);

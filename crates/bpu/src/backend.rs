@@ -1,29 +1,19 @@
-//! Predictor-backend abstraction: the surface the simulated core needs
-//! from *any* directional predictor, plus concrete backends for the three
-//! substrates in this crate (hybrid, TAGE, perceptron).
+//! The predictor front end and its three interchangeable direction
+//! predictors (hybrid, TAGE, perceptron).
 //!
 //! The paper attacks a bimodal+gshare hybrid but notes modern CPUs use
 //! "complex hybrid predictors with unknown organization" (§1), and
 //! follow-on work shows directional-predictor leakage generalises beyond
-//! that organisation. The [`DirectionPredictor`] trait captures the
-//! behavioural contract the rest of the stack (core, OS, attack,
-//! mitigations, experiments) actually relies on — predict, commit, history
-//! and BTB access, PHT-entry inspection for probe decoding, and the
-//! geometry/profile queries the attacker's priming code sizes itself with —
-//! so every layer above `bscope-bpu` runs unchanged on any substrate.
+//! that organisation. In Figure 1 the direction predictor sits behind one
+//! front end: a BTB whose presence bit marks a branch as known (§5.1) and a
+//! global history register. [`PredictorBackend`] owns that front end once —
+//! the effective profile, GHR, BTB and prediction statistics — and swaps
+//! only the direction predictor behind it, so every layer above
+//! `bscope-bpu` (core, OS, attack, mitigations, experiments) runs unchanged
+//! on any substrate.
 //!
-//! Dispatch is static: the sealed [`PredictorBackend`] enum wraps the three
-//! implementations and is what [`SimCore`](../../uarch) stores. The trait
-//! exists to *formalise* the contract (and to let property tests drive a
-//! trait object against a directly-driven predictor); the enum keeps the
-//! hot `execute` path monomorphic and the core/system types free of
-//! generic parameters, `Debug`, and `Clone`. A `Box<dyn DirectionPredictor>`
-//! field would have worked too, but would cost a vtable call per simulated
-//! branch on the hottest path in the repository and would lose `Clone`.
-//!
-//! TAGE and the perceptron have no BTB, chooser, or statistics of their
-//! own; [`BackendCommon`] supplies the shared BTB/GHR/stats plumbing so
-//! both expose the same front-end surface the hybrid does.
+//! Dispatch is a `match` on a private enum: the hot `execute` path stays
+//! monomorphic and the core/system types stay free of generic parameters.
 
 use crate::btb::BranchTargetBuffer;
 use crate::counter::{CounterKind, Outcome, PhtState};
@@ -45,476 +35,6 @@ const TAGE_ALLOC_SEED: u64 = 0x7A6E_5EED;
 
 /// Tagged components of the TAGE backend (history lengths 4, 8, 16, 32).
 const TAGE_COMPONENTS: usize = 4;
-
-/// The behavioural contract between a directional predictor and the
-/// simulated core.
-///
-/// Everything `SimCore` and the layers above it need is here:
-///
-/// * the **front-end path**: [`predict`](DirectionPredictor::predict) /
-///   [`update`](DirectionPredictor::update) /
-///   [`execute`](DirectionPredictor::execute);
-/// * **probe-decoding state**: [`pht_state`](DirectionPredictor::pht_state)
-///   reads the per-address saturating-FSM state the attack primes and
-///   probes (each backend documents how its state maps onto the four
-///   [`PhtState`]s);
-/// * **shared front-end structures**: the GHR and BTB, which exist on every
-///   backend (via [`BackendCommon`] where the substrate lacks its own);
-/// * **geometry/profile queries**: [`profile`](DirectionPredictor::profile)
-///   returns the *effective* profile — table sizes and counter flavour as
-///   the attacker's priming/decoding code should size itself, which for
-///   non-hybrid backends means a normalised counter kind (see
-///   [`BackendKind::build`]).
-pub trait DirectionPredictor {
-    /// The effective microarchitecture profile of this backend.
-    fn profile(&self) -> &MicroarchProfile;
-
-    /// Produces the front-end prediction for the branch at `addr`.
-    fn predict(&self, addr: VirtAddr) -> Prediction;
-
-    /// Commits a resolved branch. `prediction` must be the value returned
-    /// by [`DirectionPredictor::predict`] for this same dynamic branch.
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    );
-
-    /// Predicts and immediately commits one dynamic branch, returning the
-    /// prediction and whether it was correct (the simulation fast path).
-    fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        let prediction = self.predict(addr);
-        self.update(addr, outcome, target, &prediction);
-        (prediction, prediction.direction == outcome)
-    }
-
-    /// Architectural state of the address-indexed PHT entry for `addr` —
-    /// the state BranchScope primes and probes. For the hybrid this is the
-    /// bimodal PHT entry; for TAGE the base-table counter; the perceptron
-    /// synthesises a state from its bias weight (see [`PerceptronBackend`]).
-    fn pht_state(&self, addr: VirtAddr) -> PhtState;
-
-    /// Forces the address-indexed PHT entry for `addr` into `state`
-    /// (ground-truth hook for experiments and tests).
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState);
-
-    /// Read access to the global history register.
-    fn ghr(&self) -> &GlobalHistoryRegister;
-
-    /// Exclusive access to the global history register.
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister;
-
-    /// Read access to the branch target buffer.
-    fn btb(&self) -> &BranchTargetBuffer;
-
-    /// Exclusive access to the branch target buffer.
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer;
-
-    /// Cumulative prediction statistics.
-    fn stats(&self) -> PredictionStats;
-
-    /// Resets the statistics counters (predictor state is untouched).
-    fn reset_stats(&mut self);
-
-    /// Resets all predictor state to power-on defaults.
-    fn reset(&mut self);
-}
-
-impl DirectionPredictor for HybridPredictor {
-    fn profile(&self) -> &MicroarchProfile {
-        HybridPredictor::profile(self)
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
-        HybridPredictor::predict(self, addr)
-    }
-
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        HybridPredictor::update(self, addr, outcome, target, prediction);
-    }
-
-    fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        HybridPredictor::execute(self, addr, outcome, target)
-    }
-
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        self.bimodal_state(addr)
-    }
-
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        self.bimodal_mut().set_state(addr, state);
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        HybridPredictor::ghr(self)
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        HybridPredictor::ghr_mut(self)
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        HybridPredictor::btb(self)
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        HybridPredictor::btb_mut(self)
-    }
-
-    fn stats(&self) -> PredictionStats {
-        HybridPredictor::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        HybridPredictor::reset_stats(self);
-    }
-
-    fn reset(&mut self) {
-        HybridPredictor::reset(self);
-    }
-}
-
-/// Front-end plumbing every backend needs but the bare TAGE / perceptron
-/// models lack: the effective profile, the global history register, the
-/// branch target buffer, and prediction statistics.
-///
-/// The BTB plays the same role as in the hybrid: presence drives the
-/// "recently seen taken" signal, taken branches install entries with the
-/// `addr + 2` fall-through convention, and BTB-alias eviction (the
-/// attacker's stage-1 trick) works identically.
-#[derive(Debug, Clone)]
-pub struct BackendCommon {
-    profile: MicroarchProfile,
-    ghr: GlobalHistoryRegister,
-    btb: BranchTargetBuffer,
-    stats: PredictionStats,
-}
-
-impl BackendCommon {
-    /// Builds the shared plumbing for an (already normalised) profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        profile.validate().expect("invalid microarchitecture profile");
-        BackendCommon {
-            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
-            btb: BranchTargetBuffer::new(profile.btb_size),
-            stats: PredictionStats::new(),
-            profile,
-        }
-    }
-
-    /// The effective profile.
-    #[must_use]
-    pub fn profile(&self) -> &MicroarchProfile {
-        &self.profile
-    }
-
-    /// BTB lookup for the predict path: `(btb_hit, predicted_target)`.
-    fn lookup(&self, addr: VirtAddr, direction: Outcome) -> (bool, Option<VirtAddr>) {
-        let target = self.btb.lookup(addr);
-        (target.is_some(), if direction.is_taken() { target } else { None })
-    }
-
-    /// Commit-path bookkeeping shared by all non-hybrid backends: shifts
-    /// the outcome into the GHR, installs the BTB entry for taken branches
-    /// (fall-through convention `addr + 2`), and records statistics.
-    fn commit(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        self.ghr.push(outcome);
-        if outcome.is_taken() {
-            self.btb.insert(addr, target.unwrap_or(addr + 2));
-        }
-        self.stats
-            .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
-    }
-}
-
-/// TAGE base-table counter (0–3) to the equivalent PHT FSM state.
-fn base_counter_state(counter: u8) -> PhtState {
-    match counter {
-        0 => PhtState::StronglyNotTaken,
-        1 => PhtState::WeaklyNotTaken,
-        2 => PhtState::WeaklyTaken,
-        _ => PhtState::StronglyTaken,
-    }
-}
-
-/// Inverse of [`base_counter_state`].
-fn state_base_counter(state: PhtState) -> u8 {
-    match state {
-        PhtState::StronglyNotTaken => 0,
-        PhtState::WeaklyNotTaken => 1,
-        PhtState::WeaklyTaken => 2,
-        PhtState::StronglyTaken => 3,
-    }
-}
-
-/// A [`TagePredictor`] dressed as a full predictor backend.
-///
-/// The base table is sized like the profile's PHT and indexed purely by
-/// address, so it *is* a bimodal PHT of 2-bit counters — which is why the
-/// effective profile reports [`CounterKind::TwoBit`] regardless of the
-/// machine's native flavour, and why [`pht_state`](DirectionPredictor::pht_state)
-/// maps base counters straight onto the four FSM states. The attack
-/// surface survives: under the attacker's scrambled histories, tagged
-/// entries are allocated in contexts that never recur, so probes fall back
-/// to the address-indexed base table (see the `tage` module doc and its
-/// `branchscope_fsm_reasoning_holds_on_the_base_table` test).
-///
-/// Prediction mapping: the base-table direction reports as the `bimodal`
-/// component; the final TAGE direction as `gshare`; `used` is `Gshare`
-/// exactly when a tagged (history-indexed) component provided the
-/// prediction.
-#[derive(Debug, Clone)]
-pub struct TageBackend {
-    common: BackendCommon,
-    tage: TagePredictor,
-}
-
-impl TageBackend {
-    /// Builds a TAGE backend for a machine profile. The stored profile is
-    /// normalised: 2-bit counters (the base-table flavour) and a 64-bit
-    /// GHR (room for the longest tagged history).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        let mut effective = profile;
-        effective.counter_kind = CounterKind::TwoBit;
-        effective.ghr_bits = 64;
-        let tage = TagePredictor::new(effective.pht_size, TAGE_COMPONENTS, TAGE_ALLOC_SEED);
-        TageBackend { common: BackendCommon::new(effective), tage }
-    }
-
-    /// The wrapped TAGE model.
-    #[must_use]
-    pub fn tage(&self) -> &TagePredictor {
-        &self.tage
-    }
-}
-
-impl DirectionPredictor for TageBackend {
-    fn profile(&self) -> &MicroarchProfile {
-        self.common.profile()
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
-        let tage = self.tage.predict(addr, &self.common.ghr);
-        let base = Outcome::from_bool(self.tage.base_counter(addr) >= 2);
-        let (btb_hit, target) = self.common.lookup(addr, tage.direction);
-        Prediction {
-            direction: tage.direction,
-            used: if tage.provider.is_some() { PredictorKind::Gshare } else { PredictorKind::Bimodal },
-            bimodal: base,
-            gshare: tage.direction,
-            btb_hit,
-            target,
-        }
-    }
-
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        self.tage.train(addr, &self.common.ghr, outcome);
-        self.common.commit(addr, outcome, target, prediction);
-    }
-
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        base_counter_state(self.tage.base_counter(addr))
-    }
-
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        self.tage.set_base_counter(addr, state_base_counter(state));
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        &self.common.ghr
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        &mut self.common.ghr
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        &self.common.btb
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        &mut self.common.btb
-    }
-
-    fn stats(&self) -> PredictionStats {
-        self.common.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.common.stats.reset();
-    }
-
-    fn reset(&mut self) {
-        *self = TageBackend::new(self.common.profile.clone());
-    }
-}
-
-/// A [`PerceptronPredictor`] dressed as a full predictor backend.
-///
-/// There is no saturating counter here — the per-entry state is a weight
-/// vector dotted with the history — which is exactly the ablation the
-/// backend exists for: BranchScope's prime (saturate an FSM) → victim (one
-/// transition) → probe (read it back) strategy presumes small per-address
-/// FSM state, and on this substrate a single victim execution nudges one
-/// weight by ±1, far below the decision threshold. The expected headline
-/// is attack error collapsing toward coin-flipping (see the
-/// `backend_sweep` experiment).
-///
-/// [`pht_state`](DirectionPredictor::pht_state) synthesises a state from
-/// the entry's history-independent *bias* weight (`≤ −2` ⇒ SN, `−1` ⇒ WN,
-/// `0..=1` ⇒ WT, `≥ 2` ⇒ ST — zero predicts taken, matching the
-/// perceptron's `y ≥ 0` rule); `set_pht_state` writes the representative
-/// bias and zeroes the history weights. This is a best-effort view for
-/// ground-truth instrumentation, not a claim the attack can decode it.
-///
-/// Prediction mapping: the perceptron is history-driven, so its direction
-/// reports as both components with `used = Gshare`.
-#[derive(Debug, Clone)]
-pub struct PerceptronBackend {
-    common: BackendCommon,
-    perceptron: PerceptronPredictor,
-}
-
-impl PerceptronBackend {
-    /// Builds a perceptron backend for a machine profile (one perceptron
-    /// per PHT entry, history length = the profile's GHR width). The
-    /// stored profile normalises the counter kind to
-    /// [`CounterKind::TwoBit`] so decode dictionaries stay constructible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        let mut effective = profile;
-        effective.counter_kind = CounterKind::TwoBit;
-        let perceptron = PerceptronPredictor::new(effective.pht_size, effective.ghr_bits);
-        PerceptronBackend { common: BackendCommon::new(effective), perceptron }
-    }
-
-    /// The wrapped perceptron model.
-    #[must_use]
-    pub fn perceptron(&self) -> &PerceptronPredictor {
-        &self.perceptron
-    }
-}
-
-impl DirectionPredictor for PerceptronBackend {
-    fn profile(&self) -> &MicroarchProfile {
-        self.common.profile()
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
-        let direction = self.perceptron.predict(addr, &self.common.ghr);
-        let (btb_hit, target) = self.common.lookup(addr, direction);
-        Prediction {
-            direction,
-            used: PredictorKind::Gshare,
-            bimodal: direction,
-            gshare: direction,
-            btb_hit,
-            target,
-        }
-    }
-
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        self.perceptron.train(addr, &self.common.ghr, outcome);
-        self.common.commit(addr, outcome, target, prediction);
-    }
-
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        match self.perceptron.bias(addr) {
-            b if b <= -2 => PhtState::StronglyNotTaken,
-            -1 => PhtState::WeaklyNotTaken,
-            0 | 1 => PhtState::WeaklyTaken,
-            _ => PhtState::StronglyTaken,
-        }
-    }
-
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        let bias = match state {
-            PhtState::StronglyNotTaken => -2,
-            PhtState::WeaklyNotTaken => -1,
-            PhtState::WeaklyTaken => 0,
-            PhtState::StronglyTaken => 2,
-        };
-        self.perceptron.set_entry(addr, bias);
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        &self.common.ghr
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        &mut self.common.ghr
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        &self.common.btb
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        &mut self.common.btb
-    }
-
-    fn stats(&self) -> PredictionStats {
-        self.common.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.common.stats.reset();
-    }
-
-    fn reset(&mut self) {
-        *self = PerceptronBackend::new(self.common.profile.clone());
-    }
-}
 
 /// Which predictor substrate to build — the user-facing backend selector
 /// (`--bpu hybrid|tage|perceptron` in the experiments CLI).
@@ -544,26 +64,45 @@ impl BackendKind {
         }
     }
 
-    /// Builds the backend for a machine profile.
+    /// Builds the front end and direction predictor for a machine profile.
     ///
     /// The hybrid uses the profile verbatim. TAGE and the perceptron store
-    /// a *normalised* effective profile — most importantly
-    /// `counter_kind = TwoBit`, since the TAGE base table is a 2-bit
-    /// counter table and the perceptron's synthesised state view follows
-    /// the same four-state FSM — so attacker code that sizes itself from
-    /// `profile()` (priming, decode dictionaries) keeps working.
+    /// a *normalised* effective profile — `counter_kind = TwoBit`, since the
+    /// TAGE base table is a 2-bit counter table and the perceptron's
+    /// synthesised state view follows the same four-state FSM, plus a 64-bit
+    /// GHR for TAGE's longest tagged history — so attacker code that sizes
+    /// itself from [`PredictorBackend::profile`] (priming, decode
+    /// dictionaries) keeps working.
     ///
     /// # Panics
     ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
+    /// Panics if the effective profile fails [`MicroarchProfile::validate`].
     #[must_use]
-    pub fn build(self, profile: MicroarchProfile) -> PredictorBackend {
-        match self {
-            BackendKind::Hybrid => PredictorBackend::Hybrid(HybridPredictor::new(profile)),
-            BackendKind::Tage => PredictorBackend::Tage(TageBackend::new(profile)),
+    pub fn build(self, mut profile: MicroarchProfile) -> PredictorBackend {
+        if self != BackendKind::Hybrid {
+            profile.counter_kind = CounterKind::TwoBit;
+        }
+        if self == BackendKind::Tage {
+            profile.ghr_bits = 64;
+        }
+        profile.validate().expect("invalid microarchitecture profile");
+        let direction = match self {
+            BackendKind::Hybrid => Direction::Hybrid(HybridPredictor::new(&profile)),
+            BackendKind::Tage => Direction::Tage(TagePredictor::new(
+                profile.pht_size,
+                TAGE_COMPONENTS,
+                TAGE_ALLOC_SEED,
+            )),
             BackendKind::Perceptron => {
-                PredictorBackend::Perceptron(PerceptronBackend::new(profile))
+                Direction::Perceptron(PerceptronPredictor::new(profile.pht_size, profile.ghr_bits))
             }
+        };
+        PredictorBackend {
+            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
+            btb: BranchTargetBuffer::new(profile.btb_size),
+            stats: PredictionStats::new(),
+            direction,
+            profile,
         }
     }
 }
@@ -589,77 +128,129 @@ impl FromStr for BackendKind {
     }
 }
 
-/// The predictor substrate a simulated core runs on: one of the three
-/// concrete backends behind static (match) dispatch.
+/// The predictor a simulated core runs on: the shared front end (effective
+/// profile, GHR, BTB, statistics) plus one direction predictor.
 ///
-/// Inherent methods mirror [`DirectionPredictor`] exactly, so callers can
-/// use a core's backend without importing the trait; the trait impl simply
-/// delegates.
+/// The BTB plays the same role for every substrate: presence is the
+/// "recently seen taken" signal, taken branches install entries with the
+/// `addr + 2` fall-through convention, and BTB-alias eviction (the
+/// attacker's stage-1 trick) works identically.
+///
+/// Each direction predictor reports through the same [`Prediction`]:
+///
+/// * **hybrid** — the bimodal and gshare components, with `used` chosen by
+///   the selector for BTB-resident branches (new branches use bimodal);
+/// * **TAGE** — the base-table direction as `bimodal`, the final TAGE
+///   direction as `gshare`, and `used = Gshare` exactly when a tagged
+///   (history-indexed) component provided the prediction;
+/// * **perceptron** — history-driven, so its direction reports as both
+///   components with `used = Gshare`.
+///
+/// Build one with [`BackendKind::build`].
 #[derive(Debug, Clone)]
-pub enum PredictorBackend {
-    /// The paper's bimodal+gshare hybrid predictor.
-    Hybrid(HybridPredictor),
-    /// TAGE with the shared BTB/GHR/stats plumbing.
-    Tage(TageBackend),
-    /// Perceptron with the shared BTB/GHR/stats plumbing.
-    Perceptron(PerceptronBackend),
+pub struct PredictorBackend {
+    profile: MicroarchProfile,
+    ghr: GlobalHistoryRegister,
+    btb: BranchTargetBuffer,
+    stats: PredictionStats,
+    direction: Direction,
 }
 
-/// Delegates one method call to whichever backend is active.
-macro_rules! dispatch {
-    ($self:expr, $bpu:ident => $body:expr) => {
-        match $self {
-            PredictorBackend::Hybrid($bpu) => $body,
-            PredictorBackend::Tage($bpu) => $body,
-            PredictorBackend::Perceptron($bpu) => $body,
-        }
-    };
+/// The direction predictor behind the front end.
+#[derive(Debug, Clone)]
+enum Direction {
+    Hybrid(HybridPredictor),
+    Tage(TagePredictor),
+    Perceptron(PerceptronPredictor),
 }
 
 impl PredictorBackend {
     /// Which substrate this is.
     #[must_use]
     pub fn kind(&self) -> BackendKind {
-        match self {
-            PredictorBackend::Hybrid(_) => BackendKind::Hybrid,
-            PredictorBackend::Tage(_) => BackendKind::Tage,
-            PredictorBackend::Perceptron(_) => BackendKind::Perceptron,
+        match self.direction {
+            Direction::Hybrid(_) => BackendKind::Hybrid,
+            Direction::Tage(_) => BackendKind::Tage,
+            Direction::Perceptron(_) => BackendKind::Perceptron,
         }
     }
 
-    /// The hybrid predictor, if that is the active backend. Hybrid-only
-    /// structures (the selector table, the separate gshare PHT) are reached
-    /// through here; everything else is on the common surface.
+    /// The hybrid direction predictor, if that is the active backend.
+    /// Hybrid-only structures (the selector table, the separate gshare PHT)
+    /// are reached through here; everything else is on the backend itself.
     #[must_use]
     pub fn as_hybrid(&self) -> Option<&HybridPredictor> {
-        match self {
-            PredictorBackend::Hybrid(h) => Some(h),
+        match &self.direction {
+            Direction::Hybrid(h) => Some(h),
             _ => None,
         }
     }
 
-    /// Exclusive access to the hybrid predictor, if active.
+    /// Exclusive access to the hybrid direction predictor, if active.
     #[must_use]
     pub fn as_hybrid_mut(&mut self) -> Option<&mut HybridPredictor> {
-        match self {
-            PredictorBackend::Hybrid(h) => Some(h),
+        match &mut self.direction {
+            Direction::Hybrid(h) => Some(h),
             _ => None,
         }
     }
 
-    /// See [`DirectionPredictor::profile`].
+    /// The effective microarchitecture profile (see [`BackendKind::build`]).
     #[must_use]
     pub fn profile(&self) -> &MicroarchProfile {
-        dispatch!(self, bpu => DirectionPredictor::profile(bpu))
+        &self.profile
     }
 
-    /// See [`DirectionPredictor::predict`].
+    /// Produces the front-end prediction for the branch at `addr`.
     #[must_use]
     pub fn predict(&self, addr: VirtAddr) -> Prediction {
-        dispatch!(self, bpu => DirectionPredictor::predict(bpu, addr))
+        let target = self.btb.lookup(addr);
+        let btb_hit = target.is_some();
+        let mut prediction = match &self.direction {
+            Direction::Hybrid(h) => h.predict(addr, &self.ghr, btb_hit),
+            Direction::Tage(t) => {
+                let tage = t.predict(addr, &self.ghr);
+                Prediction {
+                    direction: tage.direction,
+                    used: if tage.provider.is_some() {
+                        PredictorKind::Gshare
+                    } else {
+                        PredictorKind::Bimodal
+                    },
+                    bimodal: Outcome::from_bool(t.base_counter(addr) >= 2),
+                    gshare: tage.direction,
+                    btb_hit,
+                    target: None,
+                }
+            }
+            Direction::Perceptron(p) => {
+                let direction = p.predict(addr, &self.ghr);
+                Prediction {
+                    direction,
+                    used: PredictorKind::Gshare,
+                    bimodal: direction,
+                    gshare: direction,
+                    btb_hit,
+                    target: None,
+                }
+            }
+        };
+        if prediction.direction.is_taken() {
+            prediction.target = target;
+        }
+        prediction
     }
 
-    /// See [`DirectionPredictor::update`].
+    /// Commits a resolved branch: trains the direction predictor against
+    /// the history that produced the prediction, shifts the outcome into
+    /// the GHR, installs the BTB entry for taken branches, and records
+    /// statistics.
+    ///
+    /// `prediction` must be the value returned by [`PredictorBackend::predict`]
+    /// for this same dynamic branch. `target` is the branch target to
+    /// install when taken; `None` uses the fall-through convention
+    /// `addr + 2` (a two-byte conditional jump, as in the paper's Listing 2
+    /// disassembly).
     pub fn update(
         &mut self,
         addr: VirtAddr,
@@ -667,133 +258,131 @@ impl PredictorBackend {
         target: Option<VirtAddr>,
         prediction: &Prediction,
     ) {
-        dispatch!(self, bpu => DirectionPredictor::update(bpu, addr, outcome, target, prediction));
+        match &mut self.direction {
+            Direction::Hybrid(h) => h.train(addr, &self.ghr, outcome, prediction),
+            Direction::Tage(t) => t.train(addr, &self.ghr, outcome),
+            Direction::Perceptron(p) => p.train(addr, &self.ghr, outcome),
+        }
+        self.ghr.push(outcome);
+        if outcome.is_taken() {
+            // Selection state is allocated per branch together with its BTB
+            // entry: when the entry is (re)allocated for a new branch, the
+            // chooser for that slot restarts strongly bimodal. This is what
+            // makes "branches with no accumulated history use the 1-level
+            // predictor" (§5.1) hold *stably* — a branch whose BTB entry was
+            // evicted re-enters the BPU as a new branch, chooser included.
+            let allocated = !self.btb.contains(addr);
+            self.btb.insert(addr, target.unwrap_or(addr + 2));
+            if let (true, Direction::Hybrid(h)) = (allocated, &mut self.direction) {
+                h.selector_mut().set_level(addr, 0);
+            }
+        }
+        self.stats
+            .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
     }
 
-    /// See [`DirectionPredictor::execute`].
+    /// Predicts and immediately commits one dynamic branch, returning the
+    /// prediction and whether it was correct (the simulation fast path).
+    /// Inlined into callers in other crates so the core's per-branch path
+    /// calls `predict` and `update` directly.
+    #[inline]
     pub fn execute(
         &mut self,
         addr: VirtAddr,
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> (Prediction, bool) {
-        dispatch!(self, bpu => DirectionPredictor::execute(bpu, addr, outcome, target))
+        let prediction = self.predict(addr);
+        self.update(addr, outcome, target, &prediction);
+        (prediction, prediction.direction == outcome)
     }
 
-    /// See [`DirectionPredictor::pht_state`].
+    /// Architectural state of the address-indexed PHT entry for `addr` —
+    /// the state BranchScope primes and probes.
+    ///
+    /// For the hybrid this is the bimodal PHT entry and for TAGE the
+    /// base-table counter (0–3 map onto SN, WN, WT, ST in
+    /// [`PhtState::ALL`] order). The perceptron has
+    /// no saturating counter, so its state is synthesised from the entry's
+    /// history-independent *bias* weight (`≤ −2` ⇒ SN, `−1` ⇒ WN, `0..=1` ⇒
+    /// WT, `≥ 2` ⇒ ST — zero predicts taken, matching the perceptron's
+    /// `y ≥ 0` rule). That is a best-effort view for ground-truth
+    /// instrumentation, not a claim the attack can decode it: one victim
+    /// execution nudges one weight by ±1, far below the decision threshold,
+    /// which is why the attack falls to coin-flipping on this substrate
+    /// (see the `backend_sweep` experiment).
     #[must_use]
     pub fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        dispatch!(self, bpu => DirectionPredictor::pht_state(bpu, addr))
+        match &self.direction {
+            Direction::Hybrid(h) => h.bimodal().state(addr),
+            Direction::Tage(t) => PhtState::ALL[usize::from(t.base_counter(addr).min(3))],
+            Direction::Perceptron(p) => match p.bias(addr) {
+                b if b <= -2 => PhtState::StronglyNotTaken,
+                -1 => PhtState::WeaklyNotTaken,
+                0 | 1 => PhtState::WeaklyTaken,
+                _ => PhtState::StronglyTaken,
+            },
+        }
     }
 
-    /// See [`DirectionPredictor::set_pht_state`].
+    /// Forces the address-indexed PHT entry for `addr` into `state`
+    /// (ground-truth hook for experiments and tests). The perceptron gets
+    /// the representative bias of [`PredictorBackend::pht_state`] and
+    /// zeroed history weights.
     pub fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        dispatch!(self, bpu => DirectionPredictor::set_pht_state(bpu, addr, state));
+        match &mut self.direction {
+            Direction::Hybrid(h) => h.bimodal_mut().set_state(addr, state),
+            Direction::Tage(t) => t.set_base_counter(addr, state as u8),
+            Direction::Perceptron(p) => p.set_entry(
+                addr,
+                match state {
+                    PhtState::StronglyNotTaken => -2,
+                    PhtState::WeaklyNotTaken => -1,
+                    PhtState::WeaklyTaken => 0,
+                    PhtState::StronglyTaken => 2,
+                },
+            ),
+        }
     }
 
-    /// See [`DirectionPredictor::ghr`].
+    /// Read access to the global history register.
     #[must_use]
     pub fn ghr(&self) -> &GlobalHistoryRegister {
-        dispatch!(self, bpu => DirectionPredictor::ghr(bpu))
+        &self.ghr
     }
 
-    /// See [`DirectionPredictor::ghr_mut`].
+    /// Exclusive access to the global history register.
     #[must_use]
     pub fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        dispatch!(self, bpu => DirectionPredictor::ghr_mut(bpu))
+        &mut self.ghr
     }
 
-    /// See [`DirectionPredictor::btb`].
+    /// Read access to the branch target buffer.
     #[must_use]
     pub fn btb(&self) -> &BranchTargetBuffer {
-        dispatch!(self, bpu => DirectionPredictor::btb(bpu))
+        &self.btb
     }
 
-    /// See [`DirectionPredictor::btb_mut`].
+    /// Exclusive access to the branch target buffer.
     #[must_use]
     pub fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        dispatch!(self, bpu => DirectionPredictor::btb_mut(bpu))
+        &mut self.btb
     }
 
-    /// See [`DirectionPredictor::stats`].
+    /// Cumulative prediction statistics.
     #[must_use]
     pub fn stats(&self) -> PredictionStats {
-        dispatch!(self, bpu => DirectionPredictor::stats(bpu))
+        self.stats
     }
 
-    /// See [`DirectionPredictor::reset_stats`].
+    /// Resets the statistics counters (predictor state is untouched).
     pub fn reset_stats(&mut self) {
-        dispatch!(self, bpu => DirectionPredictor::reset_stats(bpu));
+        self.stats.reset();
     }
 
-    /// See [`DirectionPredictor::reset`].
+    /// Resets all predictor state to power-on defaults.
     pub fn reset(&mut self) {
-        dispatch!(self, bpu => DirectionPredictor::reset(bpu));
-    }
-}
-
-impl DirectionPredictor for PredictorBackend {
-    fn profile(&self) -> &MicroarchProfile {
-        PredictorBackend::profile(self)
-    }
-
-    fn predict(&self, addr: VirtAddr) -> Prediction {
-        PredictorBackend::predict(self, addr)
-    }
-
-    fn update(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-        prediction: &Prediction,
-    ) {
-        PredictorBackend::update(self, addr, outcome, target, prediction);
-    }
-
-    fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        PredictorBackend::execute(self, addr, outcome, target)
-    }
-
-    fn pht_state(&self, addr: VirtAddr) -> PhtState {
-        PredictorBackend::pht_state(self, addr)
-    }
-
-    fn set_pht_state(&mut self, addr: VirtAddr, state: PhtState) {
-        PredictorBackend::set_pht_state(self, addr, state);
-    }
-
-    fn ghr(&self) -> &GlobalHistoryRegister {
-        PredictorBackend::ghr(self)
-    }
-
-    fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        PredictorBackend::ghr_mut(self)
-    }
-
-    fn btb(&self) -> &BranchTargetBuffer {
-        PredictorBackend::btb(self)
-    }
-
-    fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        PredictorBackend::btb_mut(self)
-    }
-
-    fn stats(&self) -> PredictionStats {
-        PredictorBackend::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        PredictorBackend::reset_stats(self);
-    }
-
-    fn reset(&mut self) {
-        PredictorBackend::reset(self);
+        *self = self.kind().build(self.profile.clone());
     }
 }
 
@@ -874,12 +463,7 @@ mod tests {
     fn pht_state_round_trips_on_every_backend() {
         for kind in BackendKind::ALL {
             let mut backend = kind.build(small_profile());
-            for state in [
-                PhtState::StronglyNotTaken,
-                PhtState::WeaklyNotTaken,
-                PhtState::WeaklyTaken,
-                PhtState::StronglyTaken,
-            ] {
+            for state in PhtState::ALL {
                 backend.set_pht_state(0x6d, state);
                 assert_eq!(backend.pht_state(0x6d), state, "{kind}");
             }
@@ -904,8 +488,9 @@ mod tests {
     #[test]
     fn tage_backend_probe_sequence_shows_the_mh_signature() {
         // End-to-end FSM reasoning on the backend surface (the module-level
-        // argument from `tage.rs`, here through the trait): prime SN, one
-        // taken victim execution, then two taken probes observe miss, hit.
+        // argument from `tage.rs`, here through the front end): prime SN,
+        // one taken victim execution, then two taken probes observe miss,
+        // hit.
         let mut backend = BackendKind::Tage.build(small_profile());
         for _ in 0..3 {
             backend.execute(0x6d, Outcome::NotTaken, None);
@@ -934,20 +519,5 @@ mod tests {
             (first.direction, second.direction)
         };
         assert_eq!(run(Outcome::Taken), run(Outcome::NotTaken), "probes cannot distinguish");
-    }
-
-    #[test]
-    fn trait_object_dispatch_matches_enum_dispatch() {
-        let mut enum_backend = BackendKind::Tage.build(small_profile());
-        let mut dyn_backend: Box<dyn DirectionPredictor> =
-            Box::new(TageBackend::new(small_profile()));
-        for i in 0..200u64 {
-            let addr = 0x100 + (i % 7) * 0x40;
-            let outcome = Outcome::from_bool(i % 3 == 0);
-            let (a, ca) = enum_backend.execute(addr, outcome, None);
-            let (b, cb) = dyn_backend.execute(addr, outcome, None);
-            assert_eq!((a, ca), (b, cb), "step {i}");
-        }
-        assert_eq!(enum_backend.stats(), dyn_backend.stats());
     }
 }

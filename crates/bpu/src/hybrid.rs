@@ -1,13 +1,11 @@
 //! The combined (hybrid) branch predictor — Figure 1 of the paper.
 
 use crate::bimodal::BimodalPredictor;
-use crate::btb::BranchTargetBuffer;
-use crate::counter::{Outcome, PhtState};
+use crate::counter::Outcome;
 use crate::ghr::GlobalHistoryRegister;
 use crate::gshare::GsharePredictor;
 use crate::profile::MicroarchProfile;
 use crate::selector::SelectorTable;
-use crate::stats::PredictionStats;
 use crate::VirtAddr;
 
 /// Which component produced the final direction prediction.
@@ -36,8 +34,9 @@ pub struct Prediction {
     pub target: Option<VirtAddr>,
 }
 
-/// The hybrid direction predictor of Figure 1: bimodal + gshare PHTs, a
-/// selector table, a GHR and a BTB.
+/// The hybrid direction predictor of Figure 1: bimodal + gshare PHTs and a
+/// selector table. The BTB and GHR it consults are the shared front end of
+/// [`PredictorBackend`](crate::PredictorBackend).
 ///
 /// # Selection logic
 ///
@@ -53,57 +52,43 @@ pub struct Prediction {
 /// # Example
 ///
 /// ```
-/// use bscope_bpu::{HybridPredictor, MicroarchProfile, Outcome, PredictorKind};
+/// use bscope_bpu::{BackendKind, MicroarchProfile, Outcome, PredictorKind};
 ///
-/// let mut bpu = HybridPredictor::new(MicroarchProfile::haswell());
+/// let mut bpu = BackendKind::Hybrid.build(MicroarchProfile::haswell());
 /// let p = bpu.predict(0x30_0000);
 /// assert_eq!(p.used, PredictorKind::Bimodal, "new branches use the 1-level predictor");
 /// bpu.update(0x30_0000, Outcome::Taken, None, &p);
+/// assert_eq!(bpu.as_hybrid().unwrap().selector().level(0x30_0000), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HybridPredictor {
-    profile: MicroarchProfile,
     bimodal: BimodalPredictor,
     gshare: GsharePredictor,
     selector: SelectorTable,
-    btb: BranchTargetBuffer,
-    ghr: GlobalHistoryRegister,
-    stats: PredictionStats,
 }
 
 impl HybridPredictor {
-    /// Builds a predictor from a microarchitecture profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`MicroarchProfile::validate`].
-    #[must_use]
-    pub fn new(profile: MicroarchProfile) -> Self {
-        profile.validate().expect("invalid microarchitecture profile");
+    /// Builds the direction predictor for an already validated profile.
+    pub(crate) fn new(profile: &MicroarchProfile) -> Self {
         HybridPredictor {
             bimodal: BimodalPredictor::new(profile.pht_size, profile.counter_kind),
             gshare: GsharePredictor::new(profile.pht_size, profile.counter_kind),
             selector: SelectorTable::new(profile.selector_size),
-            btb: BranchTargetBuffer::new(profile.btb_size),
-            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
-            stats: PredictionStats::new(),
-            profile,
         }
     }
 
-    /// The profile this predictor was built from.
-    #[must_use]
-    pub fn profile(&self) -> &MicroarchProfile {
-        &self.profile
-    }
-
-    /// Produces the front-end prediction for the branch at `addr`.
-    #[must_use]
-    pub fn predict(&self, addr: VirtAddr) -> Prediction {
+    /// Direction prediction for the branch at `addr` under history `ghr`;
+    /// `btb_hit` is the front end's presence signal. The returned `target`
+    /// is left for the front end to fill in.
+    #[inline]
+    pub(crate) fn predict(
+        &self,
+        addr: VirtAddr,
+        ghr: &GlobalHistoryRegister,
+        btb_hit: bool,
+    ) -> Prediction {
         let bimodal = self.bimodal.predict(addr);
-        let gshare = self.gshare.predict(addr, &self.ghr);
-        let target = self.btb.lookup(addr);
-        let btb_hit = target.is_some();
+        let gshare = self.gshare.predict(addr, ghr);
         let used = if btb_hit && self.selector.prefers_gshare(addr) {
             PredictorKind::Gshare
         } else {
@@ -113,79 +98,28 @@ impl HybridPredictor {
             PredictorKind::Bimodal => bimodal,
             PredictorKind::Gshare => gshare,
         };
-        Prediction {
-            direction,
-            used,
-            bimodal,
-            gshare,
-            btb_hit,
-            target: if direction.is_taken() { target } else { None },
-        }
+        Prediction { direction, used, bimodal, gshare, btb_hit, target: None }
     }
 
-    /// Commits a resolved branch: trains both component PHTs, the selector
-    /// and the GHR, and installs the BTB entry for taken branches.
-    ///
-    /// `prediction` must be the value returned by [`HybridPredictor::predict`]
-    /// for this same dynamic branch (hardware trains against the history
-    /// state that produced the prediction). `target` is the branch target to
-    /// install when taken; `None` uses the fall-through convention
-    /// `addr + 2` (a two-byte conditional jump, as in the paper's Listing 2
-    /// disassembly).
-    pub fn update(
+    /// Trains both component PHTs and the selector on a resolved branch,
+    /// against the history `ghr` that produced `prediction`.
+    #[inline]
+    pub(crate) fn train(
         &mut self,
         addr: VirtAddr,
+        ghr: &GlobalHistoryRegister,
         outcome: Outcome,
-        target: Option<VirtAddr>,
         prediction: &Prediction,
     ) {
         self.bimodal.update(addr, outcome);
-        self.gshare.update(addr, &self.ghr, outcome);
+        self.gshare.update(addr, ghr, outcome);
         // The selector observes component accuracy only for branches it
         // actually arbitrates (BTB-resident ones); this keeps single-shot
         // spy branches from perturbing chooser state, matching the paper's
         // "new branch ⇒ 1-level" behaviour.
         if prediction.btb_hit {
-            self.selector
-                .train_outcomes(addr, prediction.bimodal, prediction.gshare, outcome);
+            self.selector.train_outcomes(addr, prediction.bimodal, prediction.gshare, outcome);
         }
-        self.ghr.push(outcome);
-        if outcome.is_taken() {
-            // Selection state is allocated per branch together with its BTB
-            // entry: when the entry is (re)allocated for a new branch, the
-            // chooser for that slot restarts strongly bimodal. This is what
-            // makes "branches with no accumulated history use the 1-level
-            // predictor" (§5.1) hold *stably* — a branch whose BTB entry was
-            // evicted re-enters the BPU as a new branch, chooser included.
-            let same_branch_resident = self.btb.contains(addr);
-            self.btb.insert(addr, target.unwrap_or(addr + 2));
-            if !same_branch_resident {
-                self.selector.set_level(addr, 0);
-            }
-        }
-        self.stats
-            .record(prediction.used == PredictorKind::Gshare, prediction.direction != outcome);
-    }
-
-    /// Predicts and immediately commits one dynamic branch, returning the
-    /// prediction and whether it was correct. This is the common fast path
-    /// for simulated execution.
-    pub fn execute(
-        &mut self,
-        addr: VirtAddr,
-        outcome: Outcome,
-        target: Option<VirtAddr>,
-    ) -> (Prediction, bool) {
-        let prediction = self.predict(addr);
-        self.update(addr, outcome, target, &prediction);
-        (prediction, prediction.direction == outcome)
-    }
-
-    /// Architectural state of the *bimodal* PHT entry for `addr` — the state
-    /// BranchScope primes and probes.
-    #[must_use]
-    pub fn bimodal_state(&self, addr: VirtAddr) -> PhtState {
-        self.bimodal.state(addr)
     }
 
     /// Read access to the bimodal component.
@@ -223,53 +157,13 @@ impl HybridPredictor {
     pub fn selector_mut(&mut self) -> &mut SelectorTable {
         &mut self.selector
     }
-
-    /// Read access to the BTB.
-    #[must_use]
-    pub fn btb(&self) -> &BranchTargetBuffer {
-        &self.btb
-    }
-
-    /// Exclusive access to the BTB.
-    #[must_use]
-    pub fn btb_mut(&mut self) -> &mut BranchTargetBuffer {
-        &mut self.btb
-    }
-
-    /// Read access to the global history register.
-    #[must_use]
-    pub fn ghr(&self) -> &GlobalHistoryRegister {
-        &self.ghr
-    }
-
-    /// Exclusive access to the global history register.
-    #[must_use]
-    pub fn ghr_mut(&mut self) -> &mut GlobalHistoryRegister {
-        &mut self.ghr
-    }
-
-    /// Cumulative prediction statistics.
-    #[must_use]
-    pub fn stats(&self) -> PredictionStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters (predictor state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Resets all predictor state to power-on defaults.
-    pub fn reset(&mut self) {
-        *self = HybridPredictor::new(self.profile.clone());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::CounterKind;
-    use crate::Microarch;
+    use crate::counter::{CounterKind, PhtState};
+    use crate::{BackendKind, Microarch, PredictorBackend};
 
     fn small_profile() -> MicroarchProfile {
         MicroarchProfile {
@@ -283,9 +177,13 @@ mod tests {
         }
     }
 
+    fn build() -> PredictorBackend {
+        BackendKind::Hybrid.build(small_profile())
+    }
+
     #[test]
     fn new_branch_uses_bimodal() {
-        let bpu = HybridPredictor::new(small_profile());
+        let bpu = build();
         let p = bpu.predict(0x5000);
         assert_eq!(p.used, PredictorKind::Bimodal);
         assert!(!p.btb_hit);
@@ -293,7 +191,7 @@ mod tests {
 
     #[test]
     fn taken_branch_installs_btb_entry() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         let (_, _) = bpu.execute(0x5000, Outcome::Taken, Some(0x6000));
         assert_eq!(bpu.btb().lookup(0x5000), Some(0x6000));
         let p = bpu.predict(0x5000);
@@ -302,14 +200,14 @@ mod tests {
 
     #[test]
     fn not_taken_branch_does_not_install_btb_entry() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         bpu.execute(0x5000, Outcome::NotTaken, None);
         assert!(!bpu.btb().contains(0x5000));
     }
 
     #[test]
     fn default_target_is_fall_through_plus_two() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         bpu.execute(0x5000, Outcome::Taken, None);
         assert_eq!(bpu.btb().lookup(0x5000), Some(0x5002));
     }
@@ -318,11 +216,11 @@ mod tests {
     fn always_taken_branch_converges_quickly() {
         // §5.1: "the 1-level predictor will converge to the strongly taken
         // state after 2-3 executions".
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         for _ in 0..3 {
             bpu.execute(0x100, Outcome::Taken, None);
         }
-        assert_eq!(bpu.bimodal_state(0x100), PhtState::StronglyTaken);
+        assert_eq!(bpu.pht_state(0x100), PhtState::StronglyTaken);
         let (p, correct) = bpu.execute(0x100, Outcome::Taken, None);
         assert!(correct);
         assert_eq!(p.direction, Outcome::Taken);
@@ -333,7 +231,7 @@ mod tests {
         // The Fig. 2 mechanism: an irregular repeating pattern is
         // unpredictable for the bimodal component but learnable by gshare;
         // the selector must eventually migrate.
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         let pattern = [true, false, false, true, true, true, false, true, false, false];
         let addr = 0x700;
         for _ in 0..12 {
@@ -353,15 +251,15 @@ mod tests {
 
     #[test]
     fn selector_not_trained_on_btb_miss() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         // Single not-taken execution: BTB miss, selector untouched.
         bpu.execute(0x300, Outcome::NotTaken, None);
-        assert_eq!(bpu.selector().level(0x300), 0);
+        assert_eq!(bpu.as_hybrid().unwrap().selector().level(0x300), 0);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         bpu.execute(0x1, Outcome::Taken, None);
         bpu.execute(0x1, Outcome::Taken, None);
         assert_eq!(bpu.stats().branches, 2);
@@ -371,7 +269,7 @@ mod tests {
 
     #[test]
     fn reset_clears_all_structures() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         for i in 0..50 {
             bpu.execute(i * 3, Outcome::Taken, None);
         }
@@ -379,43 +277,46 @@ mod tests {
         assert_eq!(bpu.btb().occupancy(), 0);
         assert_eq!(bpu.ghr().value(), 0);
         assert_eq!(bpu.stats().branches, 0);
-        assert_eq!(bpu.bimodal_state(0), PhtState::WeaklyNotTaken);
+        assert_eq!(bpu.pht_state(0), PhtState::WeaklyNotTaken);
     }
 
     #[test]
     fn btb_reallocation_resets_selection_state() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         // Establish a branch and migrate its chooser toward gshare.
         bpu.execute(0x100, Outcome::Taken, None);
-        bpu.selector_mut().set_level(0x100, 7);
+        bpu.as_hybrid_mut().unwrap().selector_mut().set_level(0x100, 7);
         // An aliasing branch (same BTB set, different tag) takes the slot…
         let alias = 0x100 + 256; // btb_size = 256 in small_profile
         bpu.execute(alias, Outcome::Taken, None);
         // …so when the original branch is seen taken again it is a *new*
         // branch to the BPU and its chooser restarts bimodal.
         bpu.execute(0x100, Outcome::Taken, None);
-        assert_eq!(bpu.selector().level(0x100), 0);
+        assert_eq!(bpu.as_hybrid().unwrap().selector().level(0x100), 0);
     }
 
     #[test]
     fn resident_branch_keeps_selection_state() {
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         bpu.execute(0x100, Outcome::Taken, None);
-        bpu.selector_mut().set_level(0x100, 7);
+        bpu.as_hybrid_mut().unwrap().selector_mut().set_level(0x100, 7);
         bpu.execute(0x100, Outcome::Taken, None);
-        assert!(bpu.selector().level(0x100) >= 2, "no reallocation, no reset (training may move it by one)");
+        assert!(
+            bpu.as_hybrid().unwrap().selector().level(0x100) >= 2,
+            "no reallocation, no reset (training may move it by one)"
+        );
     }
 
     #[test]
     fn cross_address_collision_in_bimodal_pht() {
         // Same-index addresses collide in the bimodal PHT — the attack's
         // core collision primitive (paper §4).
-        let mut bpu = HybridPredictor::new(small_profile());
+        let mut bpu = build();
         let victim = 0x30_0000u64;
         let spy = victim + 1_024; // same index, PHT is 1 024 entries
         for _ in 0..3 {
             bpu.execute(victim, Outcome::Taken, None);
         }
-        assert_eq!(bpu.bimodal_state(spy), PhtState::StronglyTaken);
+        assert_eq!(bpu.pht_state(spy), PhtState::StronglyTaken);
     }
 }

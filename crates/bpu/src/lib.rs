@@ -16,25 +16,24 @@
 //!   cache of branch targets whose *presence* information drives the paper's
 //!   "new branches are predicted by the 1-level predictor" behaviour (§5.1),
 //!
-//! all assembled into a [`HybridPredictor`] and parameterised by a
+//! all assembled into a [`PredictorBackend`] and parameterised by a
 //! [`MicroarchProfile`] that models the three CPUs evaluated in the paper
 //! (Sandy Bridge, Haswell, Skylake), including the Skylake peculiarity that
 //! makes the strongly-taken and weakly-taken states indistinguishable
 //! (Table 1, footnote 1).
 //!
-//! The hybrid is one of three interchangeable predictor *backends*: the
-//! [`DirectionPredictor`] trait captures the surface the simulated core
-//! needs, the [`PredictorBackend`] enum provides static dispatch over the
-//! hybrid, a TAGE model ([`TageBackend`]) and a perceptron model
-//! ([`PerceptronBackend`]), and [`BackendKind`] selects between them — see
-//! the [`backend`](crate::backend) module docs for the design rationale.
+//! [`PredictorBackend`] owns the front end — BTB, global history register
+//! and statistics — once, behind which sits one of three interchangeable
+//! direction predictors: the paper's [`HybridPredictor`] (bimodal, gshare
+//! and selector), a [`TagePredictor`] or a [`PerceptronPredictor`].
+//! [`BackendKind`] selects between them — see the [`backend`] module docs.
 //!
 //! # Example
 //!
 //! ```
-//! use bscope_bpu::{HybridPredictor, MicroarchProfile, Outcome};
+//! use bscope_bpu::{BackendKind, MicroarchProfile, Outcome};
 //!
-//! let mut bpu = HybridPredictor::new(MicroarchProfile::skylake());
+//! let mut bpu = BackendKind::Hybrid.build(MicroarchProfile::skylake());
 //! // Train a branch at address 0x40_0000 to be always taken.
 //! for _ in 0..4 {
 //!     let prediction = bpu.predict(0x40_0000);
@@ -61,10 +60,7 @@ mod selector;
 mod stats;
 mod tage;
 
-pub use backend::{
-    BackendCommon, BackendKind, DirectionPredictor, PerceptronBackend, PredictorBackend,
-    TageBackend,
-};
+pub use backend::{BackendKind, PredictorBackend};
 pub use bimodal::BimodalPredictor;
 pub use btb::{BranchTargetBuffer, BtbEntry};
 pub use counter::{Counter, CounterKind, Outcome, PhtState};

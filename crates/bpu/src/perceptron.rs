@@ -1,6 +1,6 @@
 //! A perceptron directional predictor (Jiménez & Lin, 2001) — a
-//! first-class predictor backend (wrapped by
-//! [`PerceptronBackend`](crate::PerceptronBackend)).
+//! first-class predictor backend (behind the
+//! [`PredictorBackend`](crate::PredictorBackend) front end).
 //!
 //! The paper cites perceptron predictors among modern designs (§2, [31]).
 //! This is the stack's structural counter-example: per-branch state is a
@@ -94,7 +94,7 @@ impl PerceptronPredictor {
 
     /// Overwrites the entry for `addr` with the given bias and all history
     /// weights zeroed — the ground-truth hook backing
-    /// [`DirectionPredictor::set_pht_state`](crate::DirectionPredictor::set_pht_state).
+    /// [`PredictorBackend::set_pht_state`](crate::PredictorBackend::set_pht_state).
     pub fn set_entry(&mut self, addr: VirtAddr, bias: i16) {
         let idx = self.index_of(addr);
         let w = &mut self.weights[idx];

@@ -60,19 +60,17 @@ impl PredictionStats {
         }
     }
 
-    /// Difference of two snapshots (`self` must be the later one).
+    /// Difference of two snapshots (`self` should be the later one).
     ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` has larger counts.
+    /// Each count saturates at zero, so a snapshot taken before a
+    /// [`PredictionStats::reset`] never yields a wrapped-around delta.
     #[must_use]
     pub fn since(&self, earlier: &PredictionStats) -> PredictionStats {
-        debug_assert!(self.branches >= earlier.branches);
         PredictionStats {
-            branches: self.branches - earlier.branches,
-            mispredictions: self.mispredictions - earlier.mispredictions,
-            bimodal_used: self.bimodal_used - earlier.bimodal_used,
-            gshare_used: self.gshare_used - earlier.gshare_used,
+            branches: self.branches.saturating_sub(earlier.branches),
+            mispredictions: self.mispredictions.saturating_sub(earlier.mispredictions),
+            bimodal_used: self.bimodal_used.saturating_sub(earlier.bimodal_used),
+            gshare_used: self.gshare_used.saturating_sub(earlier.gshare_used),
         }
     }
 
@@ -131,6 +129,20 @@ mod tests {
         let delta = s.since(&snap);
         assert_eq!(delta.branches, 2);
         assert_eq!(delta.mispredictions, 1);
+        assert_eq!(delta.gshare_used, 2);
+
+        // A snapshot from before a reset: more branches follow than the
+        // snapshot held, but fewer mispredictions and no bimodal use, so
+        // those fields saturate instead of underflowing.
+        let snap = s;
+        s.reset();
+        for _ in 0..snap.branches + 1 {
+            s.record(true, false);
+        }
+        let delta = s.since(&snap);
+        assert_eq!(delta.branches, 1);
+        assert_eq!(delta.mispredictions, 0);
+        assert_eq!(delta.bimodal_used, 0);
         assert_eq!(delta.gshare_used, 2);
     }
 

@@ -44,7 +44,7 @@ impl Scale {
         }
     }
 
-    #[allow(dead_code)] // handy for unit-style invocations
+    #[cfg(test)]
     pub fn quick() -> Self {
         Scale { quick: true, ..Scale::full() }
     }
@@ -184,16 +184,6 @@ pub fn mean(v: &[u64]) -> f64 {
         return 0.0;
     }
     v.iter().sum::<u64>() as f64 / v.len() as f64
-}
-
-/// Population standard deviation of a u64 sample.
-#[allow(dead_code)] // used by ad-hoc experiment variants
-pub fn std_dev(v: &[u64]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    let m = mean(v);
-    (v.iter().map(|&x| (x as f64 - m).powi(2)).sum::<f64>() / v.len() as f64).sqrt()
 }
 
 /// Percentile (nearest-rank) of a u64 sample.

@@ -7,8 +7,7 @@ use crate::noise::NoiseConfig;
 use crate::policy::{BpuPolicy, MeasurementFuzz};
 use crate::timing::TimingModel;
 use bscope_bpu::{
-    HybridPredictor, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind,
-    VirtAddr,
+    BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
 };
 use bscope_trace::{Span, TraceEvent, Tracer};
 use rand::rngs::StdRng;
@@ -100,7 +99,7 @@ impl SimCore {
     /// hybrid predictor, all randomness derived from `seed`.
     #[must_use]
     pub fn new(profile: MicroarchProfile, seed: u64) -> Self {
-        SimCore::with_backend(PredictorBackend::Hybrid(HybridPredictor::new(profile)), seed)
+        SimCore::with_backend(BackendKind::Hybrid.build(profile), seed)
     }
 
     /// Creates a core running on an explicit predictor backend (see
@@ -136,7 +135,7 @@ impl SimCore {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] from [`MeasurementFuzz::validate`],
+    /// Returns the [`ConfigError`](crate::ConfigError) from [`MeasurementFuzz::validate`],
     /// leaving the previous fuzz configuration in place.
     pub fn set_measurement_fuzz(
         &mut self,
@@ -153,7 +152,7 @@ impl SimCore {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] from [`NoiseConfig::validate`], leaving
+    /// Returns the [`ConfigError`](crate::ConfigError) from [`NoiseConfig::validate`], leaving
     /// the previous noise configuration in place.
     pub fn set_noise(&mut self, noise: Option<NoiseConfig>) -> Result<(), crate::ConfigError> {
         if let Some(cfg) = &noise {
@@ -174,7 +173,7 @@ impl SimCore {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] from [`NoiseConfig::validate`].
+    /// Returns the [`ConfigError`](crate::ConfigError) from [`NoiseConfig::validate`].
     pub fn with_noise(mut self, noise: NoiseConfig) -> Result<Self, crate::ConfigError> {
         self.set_noise(Some(noise))?;
         Ok(self)

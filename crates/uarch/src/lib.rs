@@ -4,10 +4,11 @@
 //! [`bscope_bpu`] predictor structures:
 //!
 //! * [`SimCore`] — a core that executes conditional branches against a
-//!   shared [`PredictorBackend`](bscope_bpu::PredictorBackend) — the paper's
+//!   shared [`PredictorBackend`](bscope_bpu::PredictorBackend) (one BTB,
+//!   GHR and statistics in front of a direction predictor: the paper's
 //!   [`HybridPredictor`](bscope_bpu::HybridPredictor) by default
 //!   ([`SimCore::new`]), or the TAGE / perceptron substrates via
-//!   [`SimCore::with_backend`] — charges cycles for them and exposes the
+//!   [`SimCore::with_backend`]), charges cycles for them and exposes the
 //!   two measurement channels the paper's attacker uses: **performance
 //!   counters** (§7) and the **timestamp counter** (§8);
 //! * [`TimingModel`] — per-branch latency calibrated against the paper's

@@ -2,10 +2,72 @@
 
 use branchscope::attack::{AttackConfig, BranchScope, DirectionDict, ProbeKind};
 use branchscope::bpu::{
-    CounterKind, DirectionPredictor, HybridPredictor, MicroarchProfile, Outcome, PhtState,
+    BackendKind, BimodalPredictor, BranchTargetBuffer, CounterKind, GlobalHistoryRegister,
+    GsharePredictor, MicroarchProfile, Outcome, PhtState, Prediction, PredictorKind,
+    SelectorTable, VirtAddr,
 };
 use branchscope::os::{AslrPolicy, System};
 use proptest::prelude::*;
+
+/// Figure 1 composed by hand: bimodal and gshare PHTs, a selector, a BTB
+/// whose presence routes new branches to the bimodal side, and a GHR.
+struct ReferenceHybrid {
+    bimodal: BimodalPredictor,
+    gshare: GsharePredictor,
+    selector: SelectorTable,
+    btb: BranchTargetBuffer,
+    ghr: GlobalHistoryRegister,
+    branches: u64,
+    mispredictions: u64,
+}
+
+impl ReferenceHybrid {
+    fn new(profile: &MicroarchProfile) -> Self {
+        ReferenceHybrid {
+            bimodal: BimodalPredictor::new(profile.pht_size, profile.counter_kind),
+            gshare: GsharePredictor::new(profile.pht_size, profile.counter_kind),
+            selector: SelectorTable::new(profile.selector_size),
+            btb: BranchTargetBuffer::new(profile.btb_size),
+            ghr: GlobalHistoryRegister::new(profile.ghr_bits),
+            branches: 0,
+            mispredictions: 0,
+        }
+    }
+
+    fn execute(&mut self, addr: VirtAddr, outcome: Outcome) -> (Prediction, bool) {
+        let bimodal = self.bimodal.predict(addr);
+        let gshare = self.gshare.predict(addr, &self.ghr);
+        let target = self.btb.lookup(addr);
+        let btb_hit = target.is_some();
+        let used = if btb_hit && self.selector.prefers_gshare(addr) {
+            PredictorKind::Gshare
+        } else {
+            PredictorKind::Bimodal
+        };
+        let direction = if used == PredictorKind::Gshare { gshare } else { bimodal };
+        let target = target.filter(|_| direction.is_taken());
+        // Train against the history that produced the prediction, then
+        // shift; a taken branch that allocates a BTB entry restarts its
+        // chooser on the bimodal side.
+        self.bimodal.update(addr, outcome);
+        self.gshare.update(addr, &self.ghr, outcome);
+        if btb_hit {
+            self.selector.train_outcomes(addr, bimodal, gshare, outcome);
+        }
+        self.ghr.push(outcome);
+        if outcome.is_taken() {
+            let allocated = !self.btb.contains(addr);
+            self.btb.insert(addr, addr + 2);
+            if allocated {
+                self.selector.set_level(addr, 0);
+            }
+        }
+        let correct = direction == outcome;
+        self.branches += 1;
+        self.mispredictions += u64::from(!correct);
+        (Prediction { direction, used, bimodal, gshare, btb_hit, target }, correct)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -34,8 +96,8 @@ proptest! {
     fn hybrid_predictors_stay_in_lockstep(
         trace in proptest::collection::vec((0u64..2048, any::<bool>()), 1..300),
     ) {
-        let mut a = HybridPredictor::new(MicroarchProfile::haswell());
-        let mut b = HybridPredictor::new(MicroarchProfile::haswell());
+        let mut a = BackendKind::Hybrid.build(MicroarchProfile::haswell());
+        let mut b = BackendKind::Hybrid.build(MicroarchProfile::haswell());
         for &(addr, taken) in &trace {
             let (pa, _) = a.execute(addr, Outcome::from_bool(taken), None);
             let (pb, _) = b.execute(addr, Outcome::from_bool(taken), None);
@@ -43,33 +105,38 @@ proptest! {
         }
     }
 
-    /// Backend-refactor property: a hybrid driven through a
-    /// `dyn DirectionPredictor` trait object stays in perfect lockstep with
-    /// a directly-driven `HybridPredictor` — identical prediction stream,
-    /// identical correctness bits, and identical PHT states everywhere —
-    /// for any branch/outcome sequence. The trait adds behaviour-preserving
-    /// indirection, nothing else.
+    /// The backend's shared front end is Figure 1 and nothing else: a
+    /// hybrid built through `BackendKind` stays in lockstep with the same
+    /// predictor composed by hand from the public building blocks — every
+    /// prediction field and correctness bit, the whole bimodal PHT, every
+    /// selector level, the GHR and the branch/misprediction counts. The
+    /// trace reuses a few branch slots and their BTB aliases, so history,
+    /// chooser migration and BTB reallocation all come into play.
     #[test]
-    fn trait_dispatched_hybrid_matches_direct_hybrid(
-        trace in proptest::collection::vec((0u64..8192, any::<bool>()), 1..300),
+    fn hybrid_backend_matches_a_hand_composed_reference(
+        trace in proptest::collection::vec((0u64..16, 0u64..4, any::<bool>()), 1..400),
     ) {
-        let mut direct = HybridPredictor::new(MicroarchProfile::skylake());
-        let mut dispatched: Box<dyn DirectionPredictor> =
-            Box::new(HybridPredictor::new(MicroarchProfile::skylake()));
-        for &(addr, taken) in &trace {
+        let profile = MicroarchProfile::skylake();
+        let mut backend = BackendKind::Hybrid.build(profile.clone());
+        let mut reference = ReferenceHybrid::new(&profile);
+        for &(slot, alias, taken) in &trace {
+            let addr = 0x40_0000 + slot * 3 + alias * profile.btb_size as u64;
             let outcome = Outcome::from_bool(taken);
-            let (pd, cd) = direct.execute(addr, outcome, None);
-            let (pb, cb) = dispatched.execute(addr, outcome, None);
-            prop_assert_eq!(pd, pb, "prediction diverged at {}", addr);
-            prop_assert_eq!(cd, cb, "correctness diverged at {}", addr);
+            let (pb, cb) = backend.execute(addr, outcome, None);
+            let (pr, cr) = reference.execute(addr, outcome);
+            prop_assert_eq!(pb, pr, "prediction diverged at {:#x}", addr);
+            prop_assert_eq!(cb, cr, "correctness diverged at {:#x}", addr);
         }
-        // Whole-PHT agreement, not just the addresses the trace visited.
-        let pht_size = DirectionPredictor::profile(&direct).pht_size as u64;
-        for addr in 0..pht_size {
-            prop_assert_eq!(direct.pht_state(addr), dispatched.pht_state(addr));
+        let hybrid = backend.as_hybrid().unwrap();
+        for addr in 0..profile.pht_size as u64 {
+            prop_assert_eq!(hybrid.bimodal().state(addr), reference.bimodal.state(addr));
         }
-        prop_assert_eq!(direct.stats(), dispatched.stats());
-        prop_assert_eq!(direct.ghr().value(), dispatched.ghr().value());
+        for addr in 0..profile.selector_size as u64 {
+            prop_assert_eq!(hybrid.selector().level(addr), reference.selector.level(addr));
+        }
+        prop_assert_eq!(backend.ghr().value(), reference.ghr.value());
+        prop_assert_eq!(backend.stats().branches, reference.branches);
+        prop_assert_eq!(backend.stats().mispredictions, reference.mispredictions);
     }
 
     /// Priming is idempotent at the architectural level: after a prime, the
