@@ -202,6 +202,7 @@ impl PredictorBackend {
     }
 
     /// Produces the front-end prediction for the branch at `addr`.
+    #[inline(always)]
     #[must_use]
     pub fn predict(&self, addr: VirtAddr) -> Prediction {
         let target = self.btb.lookup(addr);
@@ -251,6 +252,7 @@ impl PredictorBackend {
     /// install when taken; `None` uses the fall-through convention
     /// `addr + 2` (a two-byte conditional jump, as in the paper's Listing 2
     /// disassembly).
+    #[inline(always)]
     pub fn update(
         &mut self,
         addr: VirtAddr,
@@ -271,8 +273,7 @@ impl PredictorBackend {
             // makes "branches with no accumulated history use the 1-level
             // predictor" (§5.1) hold *stably* — a branch whose BTB entry was
             // evicted re-enters the BPU as a new branch, chooser included.
-            let allocated = !self.btb.contains(addr);
-            self.btb.insert(addr, target.unwrap_or(addr + 2));
+            let allocated = self.btb.install(addr, target.unwrap_or(addr + 2));
             if let (true, Direction::Hybrid(h)) = (allocated, &mut self.direction) {
                 h.selector_mut().set_level(addr, 0);
             }
@@ -283,8 +284,9 @@ impl PredictorBackend {
 
     /// Predicts and immediately commits one dynamic branch, returning the
     /// prediction and whether it was correct (the simulation fast path).
-    /// Inlined into callers in other crates so the core's per-branch path
-    /// calls `predict` and `update` directly.
+    /// Inlined, with `predict`, `update` and the table accessors under
+    /// them, into the core's per-branch body in other crates, so the hybrid
+    /// path there runs without calls.
     #[inline]
     pub fn execute(
         &mut self,

@@ -37,18 +37,21 @@ impl BimodalPredictor {
 
     /// PHT index used for a branch address — the address modulo the table
     /// size, at byte granularity (paper Fig. 5a).
+    #[inline]
     #[must_use]
     pub fn index_of(&self, addr: VirtAddr) -> usize {
         self.pht.index_of(addr)
     }
 
     /// Predicted direction for the branch at `addr`.
+    #[inline]
     #[must_use]
     pub fn predict(&self, addr: VirtAddr) -> Outcome {
         self.pht.predict(self.index_of(addr))
     }
 
     /// Trains the predictor with a resolved outcome.
+    #[inline]
     pub fn update(&mut self, addr: VirtAddr, outcome: Outcome) {
         let idx = self.index_of(addr);
         self.pht.update(idx, outcome);

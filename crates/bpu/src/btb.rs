@@ -32,6 +32,8 @@ pub struct BtbEntry {
 pub struct BranchTargetBuffer {
     entries: Vec<Option<BtbEntry>>,
     mask: u64,
+    /// Index bits below the tag (`log2(size)`).
+    tag_shift: u32,
 }
 
 impl BranchTargetBuffer {
@@ -43,7 +45,11 @@ impl BranchTargetBuffer {
     #[must_use]
     pub fn new(size: usize) -> Self {
         assert!(size.is_power_of_two(), "BTB size must be a power of two, got {size}");
-        BranchTargetBuffer { entries: vec![None; size], mask: (size - 1) as u64 }
+        BranchTargetBuffer {
+            entries: vec![None; size],
+            mask: (size - 1) as u64,
+            tag_shift: size.trailing_zeros(),
+        }
     }
 
     /// Number of sets.
@@ -59,17 +65,20 @@ impl BranchTargetBuffer {
     }
 
     /// Set index for a branch address.
+    #[inline]
     #[must_use]
     pub fn index_of(&self, addr: VirtAddr) -> usize {
         (addr & self.mask) as usize
     }
 
+    #[inline]
     fn tag_of(&self, addr: VirtAddr) -> u64 {
-        addr >> self.mask.count_ones()
+        addr >> self.tag_shift
     }
 
     /// Looks up the target for the branch at `addr`; `None` on a miss
     /// (empty set or tag mismatch).
+    #[inline]
     #[must_use]
     pub fn lookup(&self, addr: VirtAddr) -> Option<VirtAddr> {
         let entry = self.entries[self.index_of(addr)]?;
@@ -88,6 +97,19 @@ impl BranchTargetBuffer {
         let idx = self.index_of(addr);
         let tag = self.tag_of(addr);
         self.entries[idx].replace(BtbEntry { tag, target })
+    }
+
+    /// Installs (or replaces) the entry for a taken branch with a single
+    /// probe of its set, returning whether the branch was newly allocated
+    /// (it missed before the install).
+    #[inline]
+    pub(crate) fn install(&mut self, addr: VirtAddr, target: VirtAddr) -> bool {
+        let tag = self.tag_of(addr);
+        let idx = self.index_of(addr);
+        let slot = &mut self.entries[idx];
+        let allocated = !matches!(slot, Some(e) if e.tag == tag);
+        *slot = Some(BtbEntry { tag, target });
+        allocated
     }
 
     /// Removes the entry for `addr` if present (tag must match), returning
@@ -151,6 +173,17 @@ mod tests {
         assert!(btb.contains(0x10));
         assert_eq!(btb.evict(0x10).map(|e| e.target), Some(0xAAAA));
         assert!(!btb.contains(0x10));
+    }
+
+    #[test]
+    fn install_reports_new_allocations() {
+        let mut btb = BranchTargetBuffer::new(64);
+        assert!(btb.install(0x10, 0xAAAA), "empty set");
+        assert!(!btb.install(0x10, 0xCCCC), "same branch, new target");
+        assert_eq!(btb.lookup(0x10), Some(0xCCCC));
+        assert!(btb.install(0x10 + 64, 0xBBBB), "aliasing branch takes the set");
+        assert!(!btb.contains(0x10));
+        assert!(btb.install(0x10, 0xAAAA), "evicted branch re-enters as new");
     }
 
     #[test]

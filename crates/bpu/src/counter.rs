@@ -199,6 +199,13 @@ impl Counter {
         Counter { kind, level: 1 }
     }
 
+    /// A counter of `kind` at raw internal `level` (at most its max level).
+    #[inline]
+    pub(crate) fn from_level(kind: CounterKind, level: u8) -> Self {
+        debug_assert!(level <= Counter::new(kind).max_level());
+        Counter { kind, level }
+    }
+
     /// The counter flavour.
     #[must_use]
     pub fn kind(self) -> CounterKind {
@@ -221,6 +228,7 @@ impl Counter {
     }
 
     /// Direction predicted by the current state.
+    #[inline]
     #[must_use]
     pub fn predict(self) -> Outcome {
         if self.level >= 2 {
@@ -232,16 +240,7 @@ impl Counter {
 
     /// Advances the FSM with the resolved branch outcome.
     pub fn update(&mut self, outcome: Outcome) {
-        match outcome {
-            Outcome::Taken => {
-                if self.level < self.max_level() {
-                    self.level += 1;
-                }
-            }
-            Outcome::NotTaken => {
-                self.level = self.level.saturating_sub(1);
-            }
-        }
+        self.level = saturating_step(self.level, self.max_level(), outcome);
     }
 
     /// Architectural state of the entry.
@@ -293,6 +292,16 @@ impl Counter {
         self.update(outcome);
         predicted == outcome
     }
+}
+
+/// One saturating-counter transition without a data-dependent branch: a
+/// taken outcome steps `level` up to at most `max`, a not-taken one steps
+/// it down to at most zero. Shared by [`Counter::update`] and the packed
+/// levels of a [`PatternHistoryTable`](crate::PatternHistoryTable).
+#[inline]
+pub(crate) fn saturating_step(level: u8, max: u8, outcome: Outcome) -> u8 {
+    let taken = u8::from(outcome.is_taken());
+    (level + taken).min(max).saturating_sub(1 - taken)
 }
 
 impl Default for Counter {

@@ -48,12 +48,14 @@ impl GlobalHistoryRegister {
     }
 
     /// Current history value, masked to `len` bits.
+    #[inline]
     #[must_use]
     pub fn value(&self) -> u64 {
         self.bits & self.mask()
     }
 
     /// Shifts in one resolved branch outcome.
+    #[inline]
     pub fn push(&mut self, outcome: Outcome) {
         self.bits = ((self.bits << 1) | u64::from(outcome.is_taken())) & self.mask();
     }
@@ -69,6 +71,7 @@ impl GlobalHistoryRegister {
         self.bits = rng.gen::<u64>() & self.mask();
     }
 
+    #[inline]
     fn mask(&self) -> u64 {
         if self.len == 64 {
             u64::MAX

@@ -41,12 +41,14 @@ impl GsharePredictor {
 
     /// The gshare index for a branch address under a given history: the
     /// address XORed with the GHR value, folded into the table.
+    #[inline]
     #[must_use]
     pub fn index_of(&self, addr: VirtAddr, ghr: &GlobalHistoryRegister) -> usize {
         self.pht.index_of(addr ^ ghr.value())
     }
 
     /// Predicted direction for `addr` under history `ghr`.
+    #[inline]
     #[must_use]
     pub fn predict(&self, addr: VirtAddr, ghr: &GlobalHistoryRegister) -> Outcome {
         self.pht.predict(self.index_of(addr, ghr))
@@ -57,6 +59,7 @@ impl GsharePredictor {
     /// The caller must pass the *same* history value that produced the
     /// prediction (i.e. update before shifting the outcome into the GHR),
     /// as hardware does.
+    #[inline]
     pub fn update(&mut self, addr: VirtAddr, ghr: &GlobalHistoryRegister, outcome: Outcome) {
         let idx = self.index_of(addr, ghr);
         self.pht.update(idx, outcome);

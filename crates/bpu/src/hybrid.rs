@@ -103,7 +103,7 @@ impl HybridPredictor {
 
     /// Trains both component PHTs and the selector on a resolved branch,
     /// against the history `ghr` that produced `prediction`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn train(
         &mut self,
         addr: VirtAddr,

@@ -89,6 +89,42 @@ impl TimingParams {
     }
 }
 
+impl TimingParams {
+    /// Validates the parameters: the spike probability must lie in
+    /// `[0, 1]` and every cycle field must be finite and non-negative.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.spike_probability) {
+            return Err(format!(
+                "timing.spike_probability {} is not within [0, 1]",
+                self.spike_probability
+            ));
+        }
+        let cycles = [
+            ("base_hit_cycles", self.base_hit_cycles),
+            ("mispredict_penalty", self.mispredict_penalty),
+            ("jitter_sigma", self.jitter_sigma),
+            ("cold_miss_extra", self.cold_miss_extra),
+            ("cold_jitter_sigma", self.cold_jitter_sigma),
+            ("spike_cycles", self.spike_cycles),
+            ("throughput_cycles", self.throughput_cycles),
+            ("mispredict_stall", self.mispredict_stall),
+            ("cold_stall", self.cold_stall),
+            ("btb_miss_taken_extra", self.btb_miss_taken_extra),
+            ("btb_miss_taken_stall", self.btb_miss_taken_stall),
+        ];
+        match cycles.into_iter().find(|&(_, v)| !(v.is_finite() && v >= 0.0)) {
+            Some((field, value)) => {
+                Err(format!("timing.{field} {value} is not a finite, non-negative cycle count"))
+            }
+            None => Ok(()),
+        }
+    }
+}
+
 impl Default for TimingParams {
     fn default() -> Self {
         TimingParams::paper_calibrated()
@@ -192,7 +228,8 @@ impl MicroarchProfile {
         [Self::skylake(), Self::haswell(), Self::sandy_bridge()]
     }
 
-    /// Validates internal consistency (power-of-two tables, sane GHR).
+    /// Validates internal consistency (power-of-two tables, sane GHR) and
+    /// the timing parameters ([`TimingParams::validate`]).
     ///
     /// # Errors
     ///
@@ -210,7 +247,7 @@ impl MicroarchProfile {
         if !(1..=64).contains(&self.ghr_bits) {
             return Err(format!("ghr_bits {} out of range 1..=64", self.ghr_bits));
         }
-        Ok(())
+        self.timing.validate()
     }
 }
 
@@ -260,6 +297,58 @@ mod tests {
         let mut p = MicroarchProfile::skylake();
         p.ghr_bits = 0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_spike_probability_outside_the_unit_interval() {
+        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let mut p = MicroarchProfile::haswell();
+            p.timing.spike_probability = bad;
+            let err = p.validate().unwrap_err();
+            assert!(err.contains("timing.spike_probability"), "{bad}: {err}");
+        }
+        for ok in [0.0, 1.0] {
+            let mut p = MicroarchProfile::haswell();
+            p.timing.spike_probability = ok;
+            p.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn validate_rejects_negative_or_non_finite_cycle_fields() {
+        type Setter = fn(&mut TimingParams, f64);
+        let fields: [(&str, Setter); 11] = [
+            ("base_hit_cycles", |t, v| t.base_hit_cycles = v),
+            ("mispredict_penalty", |t, v| t.mispredict_penalty = v),
+            ("jitter_sigma", |t, v| t.jitter_sigma = v),
+            ("cold_miss_extra", |t, v| t.cold_miss_extra = v),
+            ("cold_jitter_sigma", |t, v| t.cold_jitter_sigma = v),
+            ("spike_cycles", |t, v| t.spike_cycles = v),
+            ("throughput_cycles", |t, v| t.throughput_cycles = v),
+            ("mispredict_stall", |t, v| t.mispredict_stall = v),
+            ("cold_stall", |t, v| t.cold_stall = v),
+            ("btb_miss_taken_extra", |t, v| t.btb_miss_taken_extra = v),
+            ("btb_miss_taken_stall", |t, v| t.btb_miss_taken_stall = v),
+        ];
+        for (field, set) in fields {
+            for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = MicroarchProfile::skylake();
+                set(&mut p.timing, bad);
+                let err = p.validate().unwrap_err();
+                assert!(err.contains(&format!("timing.{field} ")), "{field} = {bad}: {err}");
+            }
+            let mut p = MicroarchProfile::skylake();
+            set(&mut p.timing, 0.0);
+            p.validate().unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "timing.spike_probability")]
+    fn backend_build_rejects_invalid_timing() {
+        let mut p = MicroarchProfile::sandy_bridge();
+        p.timing.spike_probability = f64::NAN;
+        let _ = crate::BackendKind::Hybrid.build(p);
     }
 
     #[test]

@@ -71,12 +71,14 @@ impl SelectorTable {
     }
 
     /// Entry index for a branch address.
+    #[inline]
     #[must_use]
     pub fn index_of(&self, addr: VirtAddr) -> usize {
         (addr & self.mask) as usize
     }
 
     /// Whether the selector currently routes `addr` to the gshare predictor.
+    #[inline]
     #[must_use]
     pub fn prefers_gshare(&self, addr: VirtAddr) -> bool {
         self.levels[self.index_of(addr)] >= Self::GSHARE_THRESHOLD
@@ -95,6 +97,7 @@ impl SelectorTable {
     /// Trains the selector with the per-component correctness of a resolved
     /// branch. Hardware chooser tables move only when the components
     /// disagree — when both are right or both wrong there is no signal.
+    #[inline]
     pub fn train(&mut self, addr: VirtAddr, bimodal_correct: bool, gshare_correct: bool) {
         let idx = self.index_of(addr);
         let level = &mut self.levels[idx];
@@ -116,6 +119,7 @@ impl SelectorTable {
     /// # Panics
     ///
     /// Panics if `level > 7`.
+    #[inline]
     pub fn set_level(&mut self, addr: VirtAddr, level: u8) {
         assert!(level <= Self::MAX_LEVEL, "selector level must be 0..=7, got {level}");
         let idx = self.index_of(addr);
@@ -131,6 +135,7 @@ impl SelectorTable {
 
     /// Helper wrapping [`SelectorTable::train`] with predicted/actual
     /// outcomes from both components.
+    #[inline]
     pub fn train_outcomes(
         &mut self,
         addr: VirtAddr,

@@ -28,16 +28,12 @@ impl PredictionStats {
     }
 
     /// Records one resolved branch.
+    #[inline]
     pub fn record(&mut self, used_gshare: bool, mispredicted: bool) {
         self.branches += 1;
-        if mispredicted {
-            self.mispredictions += 1;
-        }
-        if used_gshare {
-            self.gshare_used += 1;
-        } else {
-            self.bimodal_used += 1;
-        }
+        self.mispredictions += u64::from(mispredicted);
+        self.gshare_used += u64::from(used_gshare);
+        self.bimodal_used += u64::from(!used_gshare);
     }
 
     /// Misprediction rate in `[0, 1]`; zero when no branches were recorded.

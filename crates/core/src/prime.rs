@@ -129,15 +129,15 @@ impl TargetedPrime {
         //    paper's Listing 1: random directions with no inter-branch
         //    dependencies, unpredictable for gshare.
         let pht_mask = (pht_size - 1) as u64;
-        for _ in 0..self.pollution {
+        let target_entry = self.target & pht_mask;
+        cpu.branch_run((0..self.pollution).map(|_| {
             let r = self.next_rand();
             let mut addr = Self::SCRAMBLE_REGION + (r & 0xffff);
-            if addr & pht_mask == self.target & pht_mask {
+            if addr & pht_mask == target_entry {
                 addr += 1;
             }
-            let outcome = Outcome::from_bool(r >> 63 == 1);
-            cpu.branch_at_abs(addr, outcome);
-        }
+            (addr, Outcome::from_bool(r >> 63 == 1))
+        }));
 
         // 2. Evict the victim's BTB entry and scrub the shared selector
         //    entry back toward the bimodal side: the alias branch is

@@ -105,9 +105,8 @@ impl RandomizationBlock {
     /// Executes the whole block on the spy's CPU view (stage 1).
     pub fn execute(&self, cpu: &mut CpuView<'_>) {
         cpu.core_mut().trace_span_begin(Span::Randomize);
-        for &(off, outcome) in &self.branches {
-            cpu.branch_at_abs(self.region_base + u64::from(off), outcome);
-        }
+        let base = self.region_base;
+        cpu.branch_run(self.branches.iter().map(|&(off, outcome)| (base + u64::from(off), outcome)));
         cpu.core_mut().trace_span_end(Span::Randomize);
     }
 

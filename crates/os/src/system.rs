@@ -269,6 +269,18 @@ impl CpuView<'_> {
         self.core.execute_branch_in(self.proc.ctx(), addr, outcome, None)
     }
 
+    /// Executes a straight-line run of conditional branches at absolute
+    /// virtual addresses, in order — the same as [`CpuView::branch_at_abs`]
+    /// on each pair, with this process's context resolved once (see
+    /// [`SimCore::execute_run`]). Stage-1 code (randomization blocks,
+    /// prime pollution) is such a run.
+    pub fn branch_run<I>(&mut self, branches: I)
+    where
+        I: IntoIterator<Item = (VirtAddr, Outcome)>,
+    {
+        self.core.execute_run(self.proc.ctx(), branches);
+    }
+
     /// Executes a conditional branch at an absolute virtual address
     /// bracketed by `rdtscp`, returning the latency in cycles the pair
     /// measures (§8, Fig. 7) — the measured counterpart of

@@ -5,7 +5,7 @@ use crate::event::BranchEvent;
 use crate::icache::InstructionCache;
 use crate::noise::NoiseConfig;
 use crate::policy::{BpuPolicy, MeasurementFuzz};
-use crate::timing::TimingModel;
+use crate::timing::{GaussianDraw, LatencyDraw, TimingModel};
 use bscope_bpu::{
     BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
 };
@@ -20,8 +20,14 @@ use rand::{Rng, SeedableRng};
 /// premise of the attack.
 pub type ContextId = u32;
 
-/// Context id of the background-noise (SMT sibling) activity.
+/// Context id of the background-noise (SMT sibling) activity. Only the
+/// mitigation policy ever sees it; no entry point retires a branch in it.
 pub const NOISE_CTX: ContextId = ContextId::MAX;
+
+/// Largest context id the core's entry points accept. Counters are kept in
+/// a table indexed by context id, so the bound caps that table at 65 536
+/// slots.
+pub const MAX_CTX: ContextId = 0xFFFF;
 
 /// A simulated physical core: one shared branch prediction unit, a cycle
 /// clock, an instruction cache, per-context performance counters and an
@@ -30,13 +36,14 @@ pub const NOISE_CTX: ContextId = ContextId::MAX;
 /// All stochastic behaviour (latency jitter, noise) flows from the seed
 /// passed to [`SimCore::new`], so every experiment is reproducible.
 ///
-/// Branches retire through one of two entry points that share the noise,
-/// predictor, clock and counter path and consume the same random words:
-/// the throughput entries ([`SimCore::execute_branch`] and friends) never
+/// Every entry point retires its branches through one per-branch body that
+/// runs the predictor, clock and counters and consumes the same random
+/// words: the throughput entries ([`SimCore::execute_branch`] and friends,
+/// and [`SimCore::execute_run`] for a straight-line run of branches) never
 /// turn those words into a latency, the measured entry
 /// ([`SimCore::timed_branch_in`]) does — a latency exists only where an
-/// attacker brackets the branch with `rdtscp`. Mixing the two therefore
-/// never changes what the simulation does next.
+/// attacker brackets the branch with `rdtscp`. Mixing them therefore never
+/// changes what the simulation does next.
 ///
 /// # Example
 ///
@@ -70,6 +77,17 @@ pub struct SimCore {
     fuzz: Option<MeasurementFuzz>,
     /// Structured-event tracer; disabled (and free) by default.
     tracer: Tracer,
+}
+
+/// The drawn words and stall flags a retired branch's latency is shaped
+/// from ([`SimCore::latency`]).
+#[derive(Debug, Clone, Copy)]
+struct LatencyWords {
+    draw: LatencyDraw,
+    jitter: Option<GaussianDraw>,
+    mispredicted: bool,
+    cold: bool,
+    taken_btb_miss: bool,
 }
 
 /// Validated, `Copy` image of a [`NoiseConfig`], cached so the per-branch
@@ -278,6 +296,10 @@ impl SimCore {
     /// Injects pending background noise first (if configured), then runs
     /// the branch through the shared BPU, advances the cycle clock by its
     /// throughput cost and records it in `ctx`'s performance counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is above [`MAX_CTX`] (including [`NOISE_CTX`]).
     pub fn execute_branch_in(
         &mut self,
         ctx: ContextId,
@@ -285,13 +307,39 @@ impl SimCore {
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> BranchEvent {
+        let slot = self.context_slot(ctx);
         self.inject_pending_noise();
-        self.execute_branch_quiet(ctx, addr, outcome, target)
+        self.retire::<false>(ctx, slot, addr, outcome, target).0
+    }
+
+    /// Executes a straight-line run of conditional branches in context
+    /// `ctx` with the fall-through target convention: the same as calling
+    /// [`SimCore::execute_branch_in`]`(ctx, addr, outcome, None)` for each
+    /// pair in order, with the context resolved once for the whole run.
+    /// The randomization block and the prime's pollution loop retire
+    /// through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is above [`MAX_CTX`] (including [`NOISE_CTX`]).
+    pub fn execute_run<I>(&mut self, ctx: ContextId, branches: I)
+    where
+        I: IntoIterator<Item = (VirtAddr, Outcome)>,
+    {
+        let slot = self.context_slot(ctx);
+        for (addr, outcome) in branches {
+            self.inject_pending_noise();
+            self.retire::<false>(ctx, slot, addr, outcome, None);
+        }
     }
 
     /// Executes a branch *without* triggering noise injection. Used for the
     /// noise branches themselves and by schedulers that manage interleaving
     /// explicitly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is above [`MAX_CTX`] (including [`NOISE_CTX`]).
     pub fn execute_branch_quiet(
         &mut self,
         ctx: ContextId,
@@ -299,13 +347,18 @@ impl SimCore {
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> BranchEvent {
-        self.retire(ctx, addr, outcome, target, false).0
+        let slot = self.context_slot(ctx);
+        self.retire::<false>(ctx, slot, addr, outcome, target).0
     }
 
     /// The measured counterpart of [`SimCore::execute_branch_in`]: the same
     /// branch, bracketed by `rdtscp`. Returns the event and the latency in
     /// cycles the `rdtscp` pair reports (§8, Fig. 7), including any timing
     /// fuzz; the clock itself still advances by the throughput cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` is above [`MAX_CTX`] (including [`NOISE_CTX`]).
     pub fn timed_branch_in(
         &mut self,
         ctx: ContextId,
@@ -313,58 +366,54 @@ impl SimCore {
         outcome: Outcome,
         target: Option<VirtAddr>,
     ) -> (BranchEvent, u64) {
+        let slot = self.context_slot(ctx);
         self.inject_pending_noise();
-        let (event, latency) = self.retire(ctx, addr, outcome, target, true);
-        (event, latency.expect("a measured branch's latency is shaped"))
+        self.retire::<true>(ctx, slot, addr, outcome, target)
+    }
+
+    /// The counter slot of a foreground context, grown on first use.
+    #[inline]
+    fn context_slot(&mut self, ctx: ContextId) -> usize {
+        assert!(
+            ctx <= MAX_CTX,
+            "context id {ctx} is above MAX_CTX ({MAX_CTX}); NOISE_CTX is reserved for background noise"
+        );
+        let slot = ctx as usize;
+        if slot >= self.counters.len() {
+            self.grow_counters(slot);
+        }
+        slot
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow_counters(&mut self, slot: usize) {
+        self.counters.resize(slot + 1, PerfCounters::new());
     }
 
     /// Runs one branch through the policy, the BPU, the clock and the
-    /// counters. Its latency words are always drawn, so both entry points
-    /// consume the same RNG stream; they are shaped into cycles only when
-    /// the branch is `measured` or a tracer records it.
-    fn retire(
+    /// counters: the one per-branch body behind every entry point, with
+    /// `slot` from [`SimCore::context_slot`]. Its latency words are always
+    /// drawn, so every entry consumes the same RNG stream; they are shaped
+    /// into the returned cycles only when the branch is `MEASURED` (zero
+    /// otherwise), and for the trace when a tracer records it. The
+    /// mitigation policy and the trace emission are out-of-line cold paths.
+    #[inline(always)]
+    fn retire<const MEASURED: bool>(
         &mut self,
         ctx: ContextId,
+        slot: usize,
         addr: VirtAddr,
         outcome: Outcome,
         target: Option<VirtAddr>,
-        measured: bool,
-    ) -> (BranchEvent, Option<u64>) {
+    ) -> (BranchEvent, u64) {
         let cold = !self.icache.touch(addr);
-        // Set when the BPU commit path ran for a taken branch (the only
-        // case that installs a BTB entry); feeds the trace event below.
-        let mut btb_install: Option<(VirtAddr, VirtAddr)> = None;
-        let (prediction, mispredicted) =
-            if self.policy.as_ref().is_some_and(|p| p.bypass_prediction(ctx, addr)) {
-                // §10.2 "removing prediction for sensitive branches": static
-                // not-taken prediction, no BPU state touched.
-                let prediction = Prediction {
-                    direction: Outcome::NotTaken,
-                    used: PredictorKind::Bimodal,
-                    bimodal: Outcome::NotTaken,
-                    gshare: Outcome::NotTaken,
-                    btb_hit: false,
-                    target: None,
-                };
-                (prediction, outcome.is_taken())
-            } else {
-                let indexed = self.policy.as_ref().map_or(addr, |p| p.index_addr(ctx, addr));
-                if self.policy.as_mut().is_some_and(|p| p.suppress_update(ctx, addr)) {
-                    // Stochastic-FSM defense: predict normally, skip the
-                    // state transition for this dynamic branch.
-                    let prediction = self.bpu.predict(indexed);
-                    (prediction, prediction.direction != outcome)
-                } else {
-                    let (prediction, correct) = self.bpu.execute(indexed, outcome, target);
-                    if outcome.is_taken() {
-                        btb_install = Some((indexed, target.unwrap_or(indexed + 2)));
-                    }
-                    (prediction, !correct)
-                }
-            };
-        if let Some(policy) = &mut self.policy {
-            policy.on_branch(self.tsc);
-        }
+        let (prediction, mispredicted, committed) = if self.policy.is_some() {
+            self.predict_with_policy(ctx, addr, outcome, target)
+        } else {
+            let (prediction, correct) = self.bpu.execute(addr, outcome, target);
+            (prediction, !correct, Some(addr))
+        };
         // The latency is what an rdtscp pair around this branch would
         // report (Fig. 7); the core clock advances by the much smaller
         // throughput cost of straight-line execution.
@@ -377,32 +426,92 @@ impl SimCore {
             jitter = fuzz.draw_jitter(&mut self.rng);
             recorded_miss = fuzz.fuzz_miss(&mut self.rng, mispredicted);
         }
-        let slot = ctx as usize;
-        if slot >= self.counters.len() {
-            self.counters.resize(slot + 1, PerfCounters::new());
-        }
         self.counters[slot].record_branch(recorded_miss);
-        let traced = self.tracer.is_enabled();
-        let latency = (measured || traced).then(|| {
-            let latency = self.timing.shape(draw, mispredicted, cold, taken_btb_miss);
-            self.fuzz.map_or(latency, |fuzz| fuzz.jitter_latency(latency, jitter))
-        });
-        if let Some(latency) = latency.filter(|_| traced) {
-            self.tracer.emit_with(|| TraceEvent::Branch {
-                ctx,
-                addr,
-                taken: outcome.is_taken(),
-                predicted_taken: prediction.direction.is_taken(),
-                mispredicted: recorded_miss,
-                two_level: prediction.used == PredictorKind::Gshare,
-                btb_hit: prediction.btb_hit,
-                latency,
-            });
-            if let Some((addr, target)) = btb_install {
-                self.tracer.emit_with(|| TraceEvent::BtbInstall { addr, target });
-            }
+        let event = BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, cold };
+        let words = LatencyWords { draw, jitter, mispredicted, cold, taken_btb_miss };
+        let latency = if MEASURED { self.latency(words) } else { 0 };
+        if self.tracer.is_enabled() {
+            self.trace_retired(ctx, &event, committed, target, words);
         }
-        (BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, cold }, latency)
+        (event, latency)
+    }
+
+    /// The prediction under an installed mitigation policy, and the
+    /// predictor address the BPU committed the branch at (`None` when the
+    /// policy bypassed the predictor or suppressed the update).
+    #[cold]
+    #[inline(never)]
+    fn predict_with_policy(
+        &mut self,
+        ctx: ContextId,
+        addr: VirtAddr,
+        outcome: Outcome,
+        target: Option<VirtAddr>,
+    ) -> (Prediction, bool, Option<VirtAddr>) {
+        let policy = self.policy.as_mut().expect("only called with a policy installed");
+        let retired = if policy.bypass_prediction(ctx, addr) {
+            // §10.2 "removing prediction for sensitive branches": static
+            // not-taken prediction, no BPU state touched.
+            let prediction = Prediction {
+                direction: Outcome::NotTaken,
+                used: PredictorKind::Bimodal,
+                bimodal: Outcome::NotTaken,
+                gshare: Outcome::NotTaken,
+                btb_hit: false,
+                target: None,
+            };
+            (prediction, outcome.is_taken(), None)
+        } else {
+            let indexed = policy.index_addr(ctx, addr);
+            if policy.suppress_update(ctx, addr) {
+                // Stochastic-FSM defense: predict normally, skip the
+                // state transition for this dynamic branch.
+                let prediction = self.bpu.predict(indexed);
+                (prediction, prediction.direction != outcome, None)
+            } else {
+                let (prediction, correct) = self.bpu.execute(indexed, outcome, target);
+                (prediction, !correct, Some(indexed))
+            }
+        };
+        policy.on_branch(self.tsc);
+        retired
+    }
+
+    /// The measured latency of a retired branch, timing fuzz included.
+    fn latency(&self, words: LatencyWords) -> u64 {
+        let latency =
+            self.timing.shape(words.draw, words.mispredicted, words.cold, words.taken_btb_miss);
+        self.fuzz.map_or(latency, |fuzz| fuzz.jitter_latency(latency, words.jitter))
+    }
+
+    /// Emits the trace events of a retired branch: the branch with its
+    /// latency, then the BTB install of a taken branch the BPU committed
+    /// (at `committed`, the predictor address).
+    #[cold]
+    #[inline(never)]
+    fn trace_retired(
+        &mut self,
+        ctx: ContextId,
+        event: &BranchEvent,
+        committed: Option<VirtAddr>,
+        target: Option<VirtAddr>,
+        words: LatencyWords,
+    ) {
+        let latency = self.latency(words);
+        self.tracer.emit_with(|| TraceEvent::Branch {
+            ctx,
+            addr: event.addr,
+            taken: event.outcome.is_taken(),
+            predicted_taken: event.prediction.direction.is_taken(),
+            mispredicted: event.mispredicted,
+            two_level: event.prediction.used == PredictorKind::Gshare,
+            btb_hit: event.prediction.btb_hit,
+            latency,
+        });
+        if let Some(addr) = committed.filter(|_| event.outcome.is_taken()) {
+            let target = target.unwrap_or(addr + 2);
+            self.tracer.emit_with(|| TraceEvent::BtbInstall { addr, target });
+        }
     }
 
     /// Injects `n` background branches immediately (regardless of the
@@ -426,6 +535,7 @@ impl SimCore {
         n
     }
 
+    #[inline]
     fn inject_pending_noise(&mut self) {
         let Some(cfg) = self.noise else {
             self.last_noise_tsc = self.tsc;
@@ -469,6 +579,7 @@ fn poisson_table(branches_per_kcycle: f64, max_elapsed: u64) -> Box<[f64]> {
 /// Background branches arriving over `elapsed` cycles: [`poisson`] with
 /// its `exp()` looked up in `table` (from [`poisson_table`]) when it is
 /// there. Same count, same RNG words.
+#[inline]
 fn noise_arrivals<R: Rng + ?Sized>(
     rng: &mut R,
     branches_per_kcycle: f64,
@@ -485,7 +596,10 @@ fn noise_arrivals<R: Rng + ?Sized>(
 const POISSON_KNUTH_MAX: f64 = 64.0;
 
 /// Poisson sampler: Knuth's method for small rates, a Gaussian
-/// approximation for large ones (where Knuth's product underflows).
+/// approximation for large ones (where Knuth's product underflows). Off
+/// the per-branch path: it runs only for waits longer than one branch's
+/// clock advance, or for rates too high for [`poisson_table`].
+#[cold]
 fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
     if lambda <= 0.0 {
         return 0;
@@ -498,6 +612,7 @@ fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
 }
 
 /// Knuth's method given `l = exp(-λ)`.
+#[inline]
 fn knuth_poisson<R: Rng + ?Sized>(rng: &mut R, l: f64) -> usize {
     let mut k = 0usize;
     let mut p = 1.0f64;
@@ -728,6 +843,139 @@ mod tests {
         assert_eq!(throughput.4, measured.4, "PHT state");
         assert_eq!(throughput.5, measured.5, "BTB state");
         assert_eq!(throughput.6, measured.6, "next fork_rng value");
+    }
+
+    /// A policy using every hook: a per-context index key re-drawn every 50
+    /// branches, an update suppressed on every fifth branch of context 1,
+    /// and one bypassed address.
+    #[derive(Debug)]
+    struct RekeyingPolicy {
+        keys: [u64; 3],
+        state: u64,
+        branches: u64,
+    }
+
+    impl RekeyingPolicy {
+        const BYPASSED: VirtAddr = 0x9000 + 6 * 17;
+
+        fn key(&self, ctx: ContextId) -> u64 {
+            self.keys[(ctx as usize).min(2)]
+        }
+    }
+
+    impl BpuPolicy for RekeyingPolicy {
+        fn index_addr(&self, ctx: ContextId, addr: VirtAddr) -> VirtAddr {
+            addr ^ self.key(ctx)
+        }
+
+        fn bypass_prediction(&self, _ctx: ContextId, addr: VirtAddr) -> bool {
+            addr == Self::BYPASSED
+        }
+
+        fn on_branch(&mut self, tsc: u64) {
+            self.branches += 1;
+            if self.branches.is_multiple_of(50) {
+                for key in &mut self.keys {
+                    self.state = self.state.wrapping_mul(6_364_136_223_846_793_005) ^ tsc;
+                    *key = (self.state >> 20) & 0x3fff;
+                }
+            }
+        }
+
+        fn suppress_update(&mut self, ctx: ContextId, _addr: VirtAddr) -> bool {
+            ctx == 1 && self.branches.is_multiple_of(5)
+        }
+    }
+
+    /// The run entry is the branch-by-branch entry with the context
+    /// resolved once: a run and the same branches fed one by one through
+    /// `execute_branch_in` end in the same state, with noise, timing and
+    /// counter fuzz, a policy on every hook and a tracer all active.
+    #[test]
+    fn execute_run_matches_branch_by_branch_retirement() {
+        let run = |as_run: bool| {
+            let mut c = SimCore::new(MicroarchProfile::skylake(), 33)
+                .with_noise(NoiseConfig::system_activity())
+                .unwrap();
+            c.set_measurement_fuzz(Some(MeasurementFuzz::strong())).unwrap();
+            c.set_policy(Box::new(RekeyingPolicy { keys: [0; 3], state: 5, branches: 0 }));
+            c.set_tracer(Tracer::ring(1 << 14));
+            for round in 0..3u64 {
+                for ctx in [0, 1] {
+                    let branches = (0..200u64).map(|i| {
+                        (0x9000 + i * 6, Outcome::from_bool((i * 7 + round + u64::from(ctx)) % 3 == 0))
+                    });
+                    if as_run {
+                        c.execute_run(ctx, branches);
+                    } else {
+                        for (addr, outcome) in branches {
+                            c.execute_branch_in(ctx, addr, outcome, None);
+                        }
+                    }
+                }
+                c.advance_cycles(2_000);
+            }
+            let addrs = (0..200u64).map(|i| 0x9000 + i * 6);
+            let pht: Vec<_> = addrs.clone().map(|a| c.bpu().pht_state(a)).collect();
+            let btb: Vec<_> = addrs.map(|a| c.bpu().btb().lookup(a)).collect();
+            let counters = [c.counters(0), c.counters(1), c.counters(2)];
+            let capture = c.take_tracer().drain();
+            (c.rdtscp(), counters, c.bpu().stats(), pht, btb, capture, c.fork_rng().gen::<u64>())
+        };
+        let (by_run, one_by_one) = (run(true), run(false));
+        let capture = &by_run.5;
+        assert_eq!(capture.metrics.counter("branches"), 1_200);
+        assert!(capture.metrics.counter("btb_installs") > 0);
+        assert!(capture.metrics.counter("noise_branches") > 0);
+        assert_eq!(by_run.0, one_by_one.0, "rdtscp");
+        assert_eq!(by_run.1, one_by_one.1, "performance counters");
+        assert_eq!(by_run.2, one_by_one.2, "predictor stats");
+        assert_eq!(by_run.3, one_by_one.3, "PHT state");
+        assert_eq!(by_run.4, one_by_one.4, "BTB state");
+        assert_eq!(by_run.5, one_by_one.5, "trace capture");
+        assert_eq!(by_run.6, one_by_one.6, "next fork_rng value");
+    }
+
+    /// Under a policy the trace records the BTB install at the predictor
+    /// address the BPU committed, and none for a bypassed branch.
+    #[test]
+    fn traced_btb_installs_follow_the_policy() {
+        let mut c = core();
+        c.set_policy(Box::new(RekeyingPolicy { keys: [0x40; 3], state: 0, branches: 0 }));
+        c.set_tracer(Tracer::ring(64));
+        c.execute_branch(0x9000, Outcome::Taken);
+        c.execute_branch(RekeyingPolicy::BYPASSED, Outcome::Taken);
+        let installs: Vec<_> = c
+            .take_tracer()
+            .drain()
+            .events
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::BtbInstall { addr, target } => Some((addr, target)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(installs, [(0x9040, 0x9042)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "context id 4294967295 is above MAX_CTX")]
+    fn noise_context_is_rejected_by_the_entry_points() {
+        core().execute_branch_in(NOISE_CTX, 0x1000, Outcome::Taken, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "context id 65536 is above MAX_CTX")]
+    fn context_ids_past_the_bound_are_rejected_by_a_run() {
+        core().execute_run(MAX_CTX + 1, [(0x1000, Outcome::Taken)]);
+    }
+
+    #[test]
+    fn the_largest_context_id_retires() {
+        let mut c = core();
+        c.timed_branch_in(MAX_CTX, 0x1000, Outcome::Taken, None);
+        assert_eq!(c.counters(MAX_CTX).branches_retired, 1);
+        assert_eq!(c.counters(0).branches_retired, 0);
     }
 
     /// The `exp()` table reproduces `poisson()` exactly: same count, same

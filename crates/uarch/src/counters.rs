@@ -25,11 +25,10 @@ impl PerfCounters {
     }
 
     /// Records one retired conditional branch.
+    #[inline]
     pub fn record_branch(&mut self, mispredicted: bool) {
         self.branches_retired += 1;
-        if mispredicted {
-            self.branch_misses += 1;
-        }
+        self.branch_misses += u64::from(mispredicted);
     }
 
     /// Counter deltas since an earlier snapshot.

@@ -14,6 +14,8 @@ pub struct InstructionCache {
     tags: Vec<Option<u64>>,
     line_shift: u32,
     index_mask: u64,
+    /// Index bits between the line offset and the tag (`log2(lines)`).
+    tag_shift: u32,
     hits: u64,
     misses: u64,
 }
@@ -34,6 +36,7 @@ impl InstructionCache {
             tags: vec![None; lines],
             line_shift: Self::LINE_BYTES.trailing_zeros(),
             index_mask: (lines - 1) as u64,
+            tag_shift: lines.trailing_zeros(),
             hits: 0,
             misses: 0,
         }
@@ -45,22 +48,21 @@ impl InstructionCache {
         InstructionCache::new(512)
     }
 
+    #[inline]
     fn index_and_tag(&self, addr: VirtAddr) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        ((line & self.index_mask) as usize, line >> self.index_mask.count_ones())
+        ((line & self.index_mask) as usize, line >> self.tag_shift)
     }
 
     /// Accesses the line containing `addr`, filling it on a miss.
     /// Returns `true` on a hit (the line was already resident).
+    #[inline]
     pub fn touch(&mut self, addr: VirtAddr) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
         let hit = self.tags[idx] == Some(tag);
         self.tags[idx] = Some(tag);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
         hit
     }
 

@@ -46,7 +46,7 @@ mod policy;
 mod timing;
 
 pub use config::ConfigError;
-pub use core_impl::{ContextId, SimCore, NOISE_CTX};
+pub use core_impl::{ContextId, SimCore, MAX_CTX, NOISE_CTX};
 // Re-exported so downstream crates can instrument a core without naming
 // `bscope-trace` directly.
 pub use bscope_trace::{Span, TraceEvent, TracedEvent, Tracer};

@@ -17,13 +17,19 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct TimingModel {
     params: TimingParams,
+    /// [`TimingModel::advance_with_btb`] for every flag combination,
+    /// indexed by [`advance_index`].
+    advance: [u64; 8],
 }
 
 impl TimingModel {
     /// Model with the given parameters.
     #[must_use]
     pub fn new(params: TimingParams) -> Self {
-        TimingModel { params }
+        let advance = std::array::from_fn(|i| {
+            advance_cycles(&params, i & 1 != 0, i & 2 != 0, i & 4 != 0)
+        });
+        TimingModel { params, advance }
     }
 
     /// The parameters in use.
@@ -55,6 +61,7 @@ impl TimingModel {
     /// into cycles: the two Gaussian uniforms, the spike decision and, when
     /// the spike fires, its magnitude. Every branch draws these, so the RNG
     /// stream is the same whether or not its latency is ever read.
+    #[inline]
     pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> LatencyDraw {
         let gauss = GaussianDraw::draw(rng);
         let spike = rng.gen_bool(self.params.spike_probability).then(|| rng.gen_range(1e-9..1.0));
@@ -123,20 +130,32 @@ impl TimingModel {
     /// Wall-clock advance including the BTB-miss redirect bubble for taken
     /// branches.
     #[must_use]
+    #[inline]
     pub fn advance_with_btb(&self, mispredicted: bool, cold: bool, taken_btb_miss: bool) -> u64 {
-        let p = &self.params;
-        let mut cycles = p.throughput_cycles;
-        if mispredicted {
-            cycles += p.mispredict_stall;
-        }
-        if cold {
-            cycles += p.cold_stall;
-        }
-        if taken_btb_miss {
-            cycles += p.btb_miss_taken_stall;
-        }
-        cycles.max(1.0).round() as u64
+        self.advance[advance_index(mispredicted, cold, taken_btb_miss)]
     }
+}
+
+/// Slot of a flag combination in the clock-advance table.
+#[inline]
+fn advance_index(mispredicted: bool, cold: bool, taken_btb_miss: bool) -> usize {
+    usize::from(mispredicted) | usize::from(cold) << 1 | usize::from(taken_btb_miss) << 2
+}
+
+/// The clock advance of one branch with the given stalls, computed from
+/// the parameters; [`TimingModel::new`] tabulates it.
+fn advance_cycles(p: &TimingParams, mispredicted: bool, cold: bool, taken_btb_miss: bool) -> u64 {
+    let mut cycles = p.throughput_cycles;
+    if mispredicted {
+        cycles += p.mispredict_stall;
+    }
+    if cold {
+        cycles += p.cold_stall;
+    }
+    if taken_btb_miss {
+        cycles += p.btb_miss_taken_stall;
+    }
+    cycles.max(1.0).round() as u64
 }
 
 /// The two uniforms of one Box–Muller standard-normal sample (the `rand`
@@ -149,6 +168,7 @@ pub(crate) struct GaussianDraw {
 }
 
 impl GaussianDraw {
+    #[inline]
     pub(crate) fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let u1 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2 = rng.gen_range(0.0..1.0);
@@ -233,6 +253,26 @@ mod tests {
         for _ in 0..10_000 {
             assert!(model.sample(&mut rng, false, false) >= floor);
         }
+    }
+
+    /// The table holds exactly what the float expression gives for every
+    /// flag combination, including parameters that round and clamp.
+    #[test]
+    fn advance_table_matches_the_expression() {
+        let mut odd = TimingParams::paper_calibrated();
+        odd.throughput_cycles = 0.4;
+        odd.mispredict_stall = 17.5;
+        odd.cold_stall = 0.25;
+        for params in [TimingParams::paper_calibrated(), odd] {
+            let model = TimingModel::new(params);
+            for i in 0..8 {
+                let (m, c, t) = (i & 1 != 0, i & 2 != 0, i & 4 != 0);
+                assert_eq!(model.advance_with_btb(m, c, t), advance_cycles(&params, m, c, t));
+            }
+            assert_eq!(model.advance(true, false), advance_cycles(&params, true, false, false));
+        }
+        assert_eq!(TimingModel::default().advance_with_btb(false, false, false), 2);
+        assert_eq!(TimingModel::default().advance_with_btb(true, true, true), 58);
     }
 
     #[test]
