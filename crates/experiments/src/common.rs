@@ -57,6 +57,12 @@ impl Scale {
             full
         }
     }
+
+    /// Bits per transmission and runs per cell of the covert-channel
+    /// tables (Tables 2 and 3).
+    pub fn covert_size(&self) -> (usize, usize) {
+        (self.n(20_000, 1_000), self.n(10, 2))
+    }
 }
 
 /// Newest events kept per trial when tracing is on. The ring keeps the tail

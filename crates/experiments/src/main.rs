@@ -52,6 +52,8 @@
 mod apps;
 mod backend_sweep;
 mod capacity;
+#[cfg(test)]
+mod claims;
 mod common;
 mod fig2;
 mod fig4;

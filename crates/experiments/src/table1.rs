@@ -3,7 +3,9 @@
 
 use crate::common::Scale;
 use bscope_bpu::{CounterKind, MicroarchProfile, PhtState};
-use bscope_core::{fsm_transition_row, probe_with_counters, table1, BscopeError, ProbeKind};
+use bscope_core::{
+    fsm_transition_row, probe_with_counters, table1, BscopeError, ProbeKind, ProbePattern, Table1Row,
+};
 use bscope_os::{AslrPolicy, System};
 
 /// Empirically reproduces one Table 1 row on the simulated machine using
@@ -15,7 +17,7 @@ fn empirical_observation(
     target: bscope_bpu::Outcome,
     probe: ProbeKind,
     seed: u64,
-) -> bscope_core::ProbePattern {
+) -> ProbePattern {
     let mut sys = System::new(profile.clone(), seed);
     let pid = sys.spawn("probe", AslrPolicy::Disabled);
     let addr = sys.process(pid).vaddr_of(0x6d);
@@ -29,22 +31,33 @@ fn empirical_observation(
     probe_with_counters(&mut sys.cpu(pid), addr, probe)
 }
 
-pub fn run(scale: &Scale) -> Result<(), BscopeError> {
-    for (label, profile) in [
+/// Both counter kinds' Table 1: each model row next to the pattern the
+/// probe channel measured on a machine seeded from `scale.seed`.
+pub fn compute(scale: &Scale) -> Vec<(&'static str, Vec<(Table1Row, ProbePattern)>)> {
+    [
         ("Haswell / Sandy Bridge (2-bit counter)", MicroarchProfile::haswell()),
         ("Skylake (asymmetric counter)", MicroarchProfile::skylake()),
-    ] {
+    ]
+    .into_iter()
+    .map(|(label, profile)| {
+        let rows = table1(profile.counter_kind)
+            .into_iter()
+            .map(|row| {
+                let measured =
+                    empirical_observation(&profile, row.prime, row.target, row.probe, scale.seed);
+                (row, measured)
+            })
+            .collect();
+        (label, rows)
+    })
+    .collect()
+}
+
+pub fn run(scale: &Scale) -> Result<(), BscopeError> {
+    for (label, rows) in compute(scale) {
         println!("{label}");
         println!("Prime | after | Target | after | Probe | model | measured");
-        let rows = table1(profile.counter_kind);
-        for row in &rows {
-            let measured = empirical_observation(
-                &profile,
-                row.prime,
-                row.target,
-                row.probe,
-                scale.seed,
-            );
+        for (row, measured) in rows {
             let marker = if measured == row.observation { "" } else { "  <-- MISMATCH" };
             let p = row.prime.letter();
             let t = row.target.letter();

@@ -100,8 +100,7 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<(String, [
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
-    let bits = scale.n(20_000, 1_000);
-    let runs = scale.n(10, 2);
+    let (bits, runs) = scale.covert_size();
     println!("average error rate transmitting {bits} bits per run, {runs} runs per cell");
     println!("predictor backend: {}\n", scale.backend);
     println!("{:<26} {:>8} {:>8} {:>8}", "", "All 0", "All 1", "Random");

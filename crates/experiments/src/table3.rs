@@ -83,8 +83,7 @@ pub fn compute(scale: &Scale, bits: usize, runs: usize) -> Result<Vec<[f64; 3]>,
 }
 
 pub fn run(scale: &Scale) -> Result<(), BscopeError> {
-    let bits = scale.n(20_000, 1_000);
-    let runs = scale.n(10, 2);
+    let (bits, runs) = scale.covert_size();
     println!("Skylake, sender inside an SGX enclave single-stepped by a malicious OS;");
     println!("{bits} bits per run, {runs} runs per cell\n");
 

@@ -351,9 +351,24 @@ fn metrics_flag_aggregates_traces_into_the_report() {
     let report = std::fs::read_to_string(&json).expect("report written");
     std::fs::remove_file(&json).ok();
     assert_balanced(&report);
-    for key in
-        ["trace/branches", "trace/spans/randomize", "trace/branch_latency_p50", "trace/branch_latency_mean"]
-    {
+    for key in ["trace/branches", "trace/spans/randomize", "trace/mispredicts"] {
+        assert!(report.contains(&format!("\"{key}\"")), "{key} in report:\n{report}");
+    }
+    // fig4 reads performance counters only: no branch is bracketed by
+    // rdtscp, so there is no latency histogram to report.
+    assert!(!report.contains("trace/branch_latency"), "no latency metrics:\n{report}");
+}
+
+#[test]
+fn metrics_report_the_latency_of_measured_branches() {
+    let json = scratch("cli_metrics_latency.json");
+    let out = run(&["--quick", "--threads", "2", "--metrics", "--json", json.to_str().unwrap(), "fig7"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let report = std::fs::read_to_string(&json).expect("report written");
+    std::fs::remove_file(&json).ok();
+    assert_balanced(&report);
+    // Fig. 7 times every second branch it executes.
+    for key in ["trace/branches", "trace/branch_latency_p50", "trace/branch_latency_mean"] {
         assert!(report.contains(&format!("\"{key}\"")), "{key} in report:\n{report}");
     }
 }

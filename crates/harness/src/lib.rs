@@ -657,7 +657,7 @@ mod tests {
                 mispredicted: acc & 3 == 3,
                 two_level: false,
                 btb_hit: true,
-                latency,
+                latency: Some(latency),
             });
         }
         acc

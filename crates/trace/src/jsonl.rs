@@ -79,8 +79,14 @@ pub fn event_line(experiment: &str, trial: usize, e: &TracedEvent) -> String {
                 out,
                 ",\"ctx\":{ctx},\"addr\":\"{addr:#x}\",\"taken\":{taken},\
                  \"predicted_taken\":{predicted_taken},\"mispredicted\":{mispredicted},\
-                 \"two_level\":{two_level},\"btb_hit\":{btb_hit},\"latency\":{latency}"
+                 \"two_level\":{two_level},\"btb_hit\":{btb_hit},\"latency\":"
             );
+            match latency {
+                Some(cycles) => {
+                    let _ = write!(out, "{cycles}");
+                }
+                None => out.push_str("null"),
+            }
         }
         TraceEvent::BtbInstall { addr, target } => {
             let _ = write!(out, ",\"addr\":\"{addr:#x}\",\"target\":\"{target:#x}\"");
@@ -118,7 +124,24 @@ mod tests {
                         mispredicted: true,
                         two_level: false,
                         btb_hit: false,
-                        latency: 131,
+                        latency: Some(131),
+                    },
+                },
+            ),
+            event_line(
+                "table2",
+                3,
+                &TracedEvent {
+                    seq: 4,
+                    event: TraceEvent::Branch {
+                        ctx: 1,
+                        addr: 0x30_0000,
+                        taken: false,
+                        predicted_taken: false,
+                        mispredicted: false,
+                        two_level: true,
+                        btb_hit: false,
+                        latency: None,
                     },
                 },
             ),
@@ -152,8 +175,9 @@ mod tests {
         }
         assert!(lines[0].contains("\"seed\":\"0x0000000000001234\""));
         assert!(lines[1].contains("\"addr\":\"0x300000\"") && lines[1].contains("\"latency\":131"));
-        assert!(lines[4].contains("\"span\":\"prime\"") && lines[4].contains("\"tsc\":9"));
-        assert!(lines[5].contains("\"events\":4") && lines[5].contains("\"dropped\":0"));
+        assert!(lines[2].contains("\"latency\":null}"), "unmeasured: {}", lines[2]);
+        assert!(lines[5].contains("\"span\":\"prime\"") && lines[5].contains("\"tsc\":9"));
+        assert!(lines[6].contains("\"events\":4") && lines[6].contains("\"dropped\":0"));
     }
 
     #[test]

@@ -139,7 +139,7 @@ mod tests {
             mispredicted: true,
             two_level: false,
             btb_hit: false,
-            latency,
+            latency: Some(latency),
         }
     }
 

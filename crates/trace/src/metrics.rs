@@ -163,7 +163,7 @@ impl MetricsRegistry {
     /// Folds a trace event into the standard counters and histograms:
     /// `branches`, `mispredicts`, `two_level_predictions`, `btb_hits`,
     /// `btb_installs`, `noise_branches`, per-span `spans/...` counts and
-    /// the `branch_latency` histogram.
+    /// the `branch_latency` histogram of the measured branches.
     pub fn observe_event(&mut self, event: &TraceEvent) {
         match *event {
             TraceEvent::Branch { mispredicted, two_level, btb_hit, latency, .. } => {
@@ -177,7 +177,9 @@ impl MetricsRegistry {
                 if btb_hit {
                     self.incr("btb_hits", 1);
                 }
-                self.observe("branch_latency", latency);
+                if let Some(latency) = latency {
+                    self.observe("branch_latency", latency);
+                }
             }
             TraceEvent::BtbInstall { .. } => self.incr("btb_installs", 1),
             TraceEvent::NoiseBurst { injected } => {
@@ -279,7 +281,7 @@ mod tests {
                     mispredicted: v > 100,
                     two_level: false,
                     btb_hit: true,
-                    latency: v,
+                    latency: Some(v),
                 });
             }
             r
@@ -305,6 +307,29 @@ mod tests {
         assert_eq!(r.counter("btb_installs"), 1);
         assert_eq!(r.counter("noise_branches"), 4);
         assert_eq!(r.counter("spans/prime"), 1);
+    }
+
+    /// Unmeasured branches count as branches but feed no latency
+    /// histogram, so a capture without measured branches reports no
+    /// `branch_latency_*` entry at all (rather than a mean of nothing).
+    #[test]
+    fn unmeasured_branches_emit_no_latency_metrics() {
+        let mut r = MetricsRegistry::default();
+        let unmeasured = TraceEvent::Branch {
+            ctx: 0,
+            addr: 1,
+            taken: true,
+            predicted_taken: true,
+            mispredicted: false,
+            two_level: false,
+            btb_hit: true,
+            latency: None,
+        };
+        r.observe_event(&unmeasured);
+        r.merge(&MetricsRegistry::default());
+        assert_eq!(r.counter("branches"), 1);
+        assert!(r.histogram("branch_latency").is_none());
+        assert!(r.summary().iter().all(|(name, _)| !name.starts_with("branch_latency")));
     }
 
     #[test]

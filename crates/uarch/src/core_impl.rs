@@ -3,9 +3,9 @@
 use crate::counters::PerfCounters;
 use crate::event::BranchEvent;
 use crate::icache::InstructionCache;
-use crate::noise::NoiseConfig;
+use crate::noise::{NoiseConfig, NoiseProcess};
 use crate::policy::{BpuPolicy, MeasurementFuzz};
-use crate::timing::{GaussianDraw, LatencyDraw, TimingModel};
+use crate::timing::TimingModel;
 use bscope_bpu::{
     BackendKind, MicroarchProfile, Outcome, Prediction, PredictorBackend, PredictorKind, VirtAddr,
 };
@@ -37,13 +37,13 @@ pub const MAX_CTX: ContextId = 0xFFFF;
 /// passed to [`SimCore::new`], so every experiment is reproducible.
 ///
 /// Every entry point retires its branches through one per-branch body that
-/// runs the predictor, clock and counters and consumes the same random
-/// words: the throughput entries ([`SimCore::execute_branch`] and friends,
-/// and [`SimCore::execute_run`] for a straight-line run of branches) never
-/// turn those words into a latency, the measured entry
-/// ([`SimCore::timed_branch_in`]) does — a latency exists only where an
-/// attacker brackets the branch with `rdtscp`. Mixing them therefore never
-/// changes what the simulation does next.
+/// runs the predictor, clock and counters. Only the measured entry
+/// ([`SimCore::timed_branch_in`]) samples a latency, and only it draws the
+/// random words for one: a latency exists only where an attacker brackets
+/// the branch with `rdtscp`. The throughput entries
+/// ([`SimCore::execute_branch`] and friends, and [`SimCore::execute_run`]
+/// for a straight-line run of branches) draw a word only for counter fuzz
+/// and for background-noise arrivals.
 ///
 /// # Example
 ///
@@ -64,13 +64,9 @@ pub struct SimCore {
     icache: InstructionCache,
     counters: Vec<PerfCounters>,
     tsc: u64,
-    last_noise_tsc: u64,
     rng: StdRng,
-    noise: Option<NoiseParams>,
-    /// `exp(-λ)` of the Poisson noise count for each elapsed-cycle value up
-    /// to the largest single-branch clock advance (see [`noise_arrivals`]);
-    /// empty when noise is off or outside Knuth's regime.
-    noise_exp: Box<[f64]>,
+    /// Installed background noise; `None` is a quiet machine.
+    noise: Option<Noise>,
     /// Installed mitigation; `None` is the unmitigated machine and costs no
     /// dynamic calls.
     policy: Option<Box<dyn BpuPolicy>>,
@@ -79,37 +75,14 @@ pub struct SimCore {
     tracer: Tracer,
 }
 
-/// The drawn words and stall flags a retired branch's latency is shaped
-/// from ([`SimCore::latency`]).
-#[derive(Debug, Clone, Copy)]
-struct LatencyWords {
-    draw: LatencyDraw,
-    jitter: Option<GaussianDraw>,
-    mispredicted: bool,
-    cold: bool,
-    taken_btb_miss: bool,
-}
-
-/// Validated, `Copy` image of a [`NoiseConfig`], cached so the per-branch
-/// noise checks in [`SimCore::execute_branch_in`] stay allocation-free
-/// (`NoiseConfig` holds a `Range`, which is not `Copy`).
-#[derive(Debug, Clone, Copy)]
-struct NoiseParams {
-    branches_per_kcycle: f64,
+/// A validated [`NoiseConfig`] as installed on a core: the shape of its
+/// branches and when they arrive.
+#[derive(Debug)]
+struct Noise {
     addr_lo: u64,
     addr_hi: u64,
     taken_bias: f64,
-}
-
-impl From<&NoiseConfig> for NoiseParams {
-    fn from(cfg: &NoiseConfig) -> Self {
-        NoiseParams {
-            branches_per_kcycle: cfg.branches_per_kcycle,
-            addr_lo: cfg.addr_range.start,
-            addr_hi: cfg.addr_range.end,
-            taken_bias: cfg.taken_bias,
-        }
-    }
+    arrivals: NoiseProcess,
 }
 
 impl SimCore {
@@ -125,17 +98,14 @@ impl SimCore {
     /// case. Timing parameters come from the backend's effective profile.
     #[must_use]
     pub fn with_backend(backend: PredictorBackend, seed: u64) -> Self {
-        let timing = TimingModel::new(backend.profile().timing);
         SimCore {
+            timing: TimingModel::new(backend.profile().timing),
             bpu: backend,
-            timing,
             icache: InstructionCache::l1i_default(),
             counters: vec![PerfCounters::new(); 2],
             tsc: 0,
-            last_noise_tsc: 0,
             rng: StdRng::seed_from_u64(seed),
             noise: None,
-            noise_exp: Box::default(),
             policy: None,
             fuzz: None,
             tracer: Tracer::disabled(),
@@ -167,6 +137,8 @@ impl SimCore {
     }
 
     /// Enables background (SMT sibling) noise; pass `None` to disable.
+    /// Arrivals restart from now; enabling noise draws the first arrival
+    /// threshold.
     ///
     /// # Errors
     ///
@@ -176,14 +148,12 @@ impl SimCore {
         if let Some(cfg) = &noise {
             cfg.validate()?;
         }
-        self.noise = noise.as_ref().map(NoiseParams::from);
-        // Back-to-back branches are at most one fully stalled branch apart
-        // at the noise check; longer gaps fall back to `poisson`.
-        let max_advance = self.timing.advance_with_btb(true, true, true);
-        self.noise_exp = match self.noise {
-            Some(cfg) => poisson_table(cfg.branches_per_kcycle, max_advance),
-            None => Box::default(),
-        };
+        self.noise = noise.map(|cfg| Noise {
+            addr_lo: cfg.addr_range.start,
+            addr_hi: cfg.addr_range.end,
+            taken_bias: cfg.taken_bias,
+            arrivals: NoiseProcess::new(&cfg, max_noise_step(&self.timing), self.tsc, &mut self.rng),
+        });
         Ok(())
     }
 
@@ -393,11 +363,10 @@ impl SimCore {
 
     /// Runs one branch through the policy, the BPU, the clock and the
     /// counters: the one per-branch body behind every entry point, with
-    /// `slot` from [`SimCore::context_slot`]. Its latency words are always
-    /// drawn, so every entry consumes the same RNG stream; they are shaped
-    /// into the returned cycles only when the branch is `MEASURED` (zero
-    /// otherwise), and for the trace when a tracer records it. The
-    /// mitigation policy and the trace emission are out-of-line cold paths.
+    /// `slot` from [`SimCore::context_slot`]. A `MEASURED` branch samples
+    /// its latency (timing fuzz included) and returns it; any other returns
+    /// zero and draws no latency words. The mitigation policy and the trace
+    /// emission are out-of-line cold paths.
     #[inline(always)]
     fn retire<const MEASURED: bool>(
         &mut self,
@@ -418,22 +387,18 @@ impl SimCore {
         // report (Fig. 7); the core clock advances by the much smaller
         // throughput cost of straight-line execution.
         let taken_btb_miss = outcome.is_taken() && !prediction.btb_hit;
-        let draw = self.timing.draw(&mut self.rng);
         self.tsc += self.timing.advance_with_btb(mispredicted, cold, taken_btb_miss);
-        let mut recorded_miss = mispredicted;
-        let mut jitter = None;
-        if let Some(fuzz) = self.fuzz {
-            jitter = fuzz.draw_jitter(&mut self.rng);
-            recorded_miss = fuzz.fuzz_miss(&mut self.rng, mispredicted);
-        }
+        let latency = MEASURED.then(|| self.measure(mispredicted, cold, taken_btb_miss));
+        let recorded_miss = match self.fuzz {
+            Some(fuzz) => fuzz.fuzz_miss(&mut self.rng, mispredicted),
+            None => mispredicted,
+        };
         self.counters[slot].record_branch(recorded_miss);
         let event = BranchEvent { addr, outcome, prediction, mispredicted: recorded_miss, cold };
-        let words = LatencyWords { draw, jitter, mispredicted, cold, taken_btb_miss };
-        let latency = if MEASURED { self.latency(words) } else { 0 };
         if self.tracer.is_enabled() {
-            self.trace_retired(ctx, &event, committed, target, words);
+            self.trace_retired(ctx, &event, committed, target, latency);
         }
-        (event, latency)
+        (event, latency.unwrap_or(0))
     }
 
     /// The prediction under an installed mitigation policy, and the
@@ -477,16 +442,21 @@ impl SimCore {
         retired
     }
 
-    /// The measured latency of a retired branch, timing fuzz included.
-    fn latency(&self, words: LatencyWords) -> u64 {
+    /// Samples the latency an `rdtscp` pair around a retired branch
+    /// reports, timing fuzz included.
+    fn measure(&mut self, mispredicted: bool, cold: bool, taken_btb_miss: bool) -> u64 {
         let latency =
-            self.timing.shape(words.draw, words.mispredicted, words.cold, words.taken_btb_miss);
-        self.fuzz.map_or(latency, |fuzz| fuzz.jitter_latency(latency, words.jitter))
+            self.timing.sample_with_btb(&mut self.rng, mispredicted, cold, taken_btb_miss);
+        match self.fuzz {
+            Some(fuzz) => fuzz.jitter_latency(&mut self.rng, latency),
+            None => latency,
+        }
     }
 
     /// Emits the trace events of a retired branch: the branch with its
-    /// latency, then the BTB install of a taken branch the BPU committed
-    /// (at `committed`, the predictor address).
+    /// latency (`None` unless it was measured), then the BTB install of a
+    /// taken branch the BPU committed (at `committed`, the predictor
+    /// address).
     #[cold]
     #[inline(never)]
     fn trace_retired(
@@ -495,9 +465,8 @@ impl SimCore {
         event: &BranchEvent,
         committed: Option<VirtAddr>,
         target: Option<VirtAddr>,
-        words: LatencyWords,
+        latency: Option<u64>,
     ) {
-        let latency = self.latency(words);
         self.tracer.emit_with(|| TraceEvent::Branch {
             ctx,
             addr: event.addr,
@@ -521,10 +490,10 @@ impl SimCore {
     /// hardware thread: they appear in no foreground context's counters and
     /// their latency does not advance the foreground clock.
     pub fn inject_noise_burst(&mut self, n: usize) -> usize {
-        let Some(cfg) = self.noise else { return 0 };
+        let Some(noise) = &self.noise else { return 0 };
         for _ in 0..n {
-            let addr = self.rng.gen_range(cfg.addr_lo..cfg.addr_hi);
-            let outcome = Outcome::from_bool(self.rng.gen_bool(cfg.taken_bias));
+            let addr = self.rng.gen_range(noise.addr_lo..noise.addr_hi);
+            let outcome = Outcome::from_bool(self.rng.gen_bool(noise.taken_bias));
             let indexed = self.policy.as_ref().map_or(addr, |p| p.index_addr(NOISE_CTX, addr));
             self.bpu.execute(indexed, outcome, None);
         }
@@ -535,18 +504,12 @@ impl SimCore {
         n
     }
 
+    /// Injects the background branches that arrived since the previous
+    /// check (see [`NoiseProcess`]).
     #[inline]
     fn inject_pending_noise(&mut self) {
-        let Some(cfg) = self.noise else {
-            self.last_noise_tsc = self.tsc;
-            return;
-        };
-        let elapsed = self.tsc - self.last_noise_tsc;
-        self.last_noise_tsc = self.tsc;
-        if elapsed == 0 {
-            return;
-        }
-        let n = noise_arrivals(&mut self.rng, cfg.branches_per_kcycle, &self.noise_exp, elapsed);
+        let Some(noise) = &mut self.noise else { return };
+        let n = noise.arrivals.arrivals(self.tsc, &mut self.rng);
         if n > 0 {
             self.inject_noise_burst(n);
         }
@@ -559,73 +522,10 @@ impl SimCore {
     }
 }
 
-/// The mean background-branch count over `elapsed` cycles.
-fn noise_lambda(branches_per_kcycle: f64, elapsed: u64) -> f64 {
-    branches_per_kcycle * elapsed as f64 / 1_000.0
-}
-
-/// `exp(-λ)` for every elapsed-cycle count `0..=max_elapsed`, so the
-/// per-branch noise check skips the `exp()`. Empty unless every nonzero
-/// count falls in [`poisson`]'s Knuth regime, where the table reproduces it
-/// exactly.
-fn poisson_table(branches_per_kcycle: f64, max_elapsed: u64) -> Box<[f64]> {
-    let top = noise_lambda(branches_per_kcycle, max_elapsed);
-    if !(branches_per_kcycle > 0.0 && top <= POISSON_KNUTH_MAX) {
-        return Box::default();
-    }
-    (0..=max_elapsed).map(|e| (-noise_lambda(branches_per_kcycle, e)).exp()).collect()
-}
-
-/// Background branches arriving over `elapsed` cycles: [`poisson`] with
-/// its `exp()` looked up in `table` (from [`poisson_table`]) when it is
-/// there. Same count, same RNG words.
-#[inline]
-fn noise_arrivals<R: Rng + ?Sized>(
-    rng: &mut R,
-    branches_per_kcycle: f64,
-    table: &[f64],
-    elapsed: u64,
-) -> usize {
-    match table.get(elapsed as usize) {
-        Some(&l) if elapsed > 0 => knuth_poisson(rng, l),
-        _ => poisson(rng, noise_lambda(branches_per_kcycle, elapsed)),
-    }
-}
-
-/// Largest rate [`poisson`] samples with Knuth's method.
-const POISSON_KNUTH_MAX: f64 = 64.0;
-
-/// Poisson sampler: Knuth's method for small rates, a Gaussian
-/// approximation for large ones (where Knuth's product underflows). Off
-/// the per-branch path: it runs only for waits longer than one branch's
-/// clock advance, or for rates too high for [`poisson_table`].
-#[cold]
-fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda > POISSON_KNUTH_MAX {
-        let n = lambda + lambda.sqrt() * crate::timing::gaussian(rng);
-        return n.max(0.0).round() as usize;
-    }
-    knuth_poisson(rng, (-lambda).exp())
-}
-
-/// Knuth's method given `l = exp(-λ)`.
-#[inline]
-fn knuth_poisson<R: Rng + ?Sized>(rng: &mut R, l: f64) -> usize {
-    let mut k = 0usize;
-    let mut p = 1.0f64;
-    loop {
-        p *= rng.gen_range(0.0f64..1.0);
-        if p <= l {
-            return k;
-        }
-        k += 1;
-        if k > 10_000 {
-            return k; // Defensive cap; unreachable for sane lambda.
-        }
-    }
+/// The longest gap between two noise checks of back-to-back branches: one
+/// fully stalled branch's clock advance. Longer gaps are waits.
+fn max_noise_step(timing: &TimingModel) -> u64 {
+    timing.advance_with_btb(true, true, true)
 }
 
 #[cfg(test)]
@@ -791,10 +691,13 @@ mod tests {
             .filter(|e| matches!(e.event, TraceEvent::Branch { .. }))
             .collect();
         assert_eq!(branches.len(), 4);
+        for unmeasured in &branches[..3] {
+            assert!(matches!(unmeasured.event, TraceEvent::Branch { latency: None, .. }));
+        }
         match branches[3].event {
             TraceEvent::Branch { taken, predicted_taken, mispredicted, latency, .. } => {
                 assert!(!taken && predicted_taken && mispredicted);
-                assert_eq!(latency, measured);
+                assert_eq!(latency, Some(measured));
             }
             _ => unreachable!(),
         }
@@ -802,17 +705,17 @@ mod tests {
         assert_eq!(capture.metrics.counter("btb_installs"), 3);
     }
 
-    /// The throughput and measured entries differ only in whether the
-    /// latency words are shaped: a core driven through either one consumes
-    /// the same RNG words and ends in the same state, noise and fuzz
-    /// included.
+    /// With noise off and no counter flips, nothing but a measurement
+    /// reads the random stream, so measuring some of the branches (timing
+    /// fuzz included) changes nothing the simulation does: mixed
+    /// throughput and measured entries leave the same events, clock,
+    /// counters, statistics, PHT and BTB as throughput entries alone.
     #[test]
-    fn throughput_and_measured_paths_stay_in_lockstep() {
-        let run = |measured: bool| {
-            let mut c = SimCore::new(MicroarchProfile::skylake(), 21)
-                .with_noise(NoiseConfig::system_activity())
-                .unwrap();
-            c.set_measurement_fuzz(Some(MeasurementFuzz::strong())).unwrap();
+    fn measuring_a_branch_changes_no_simulated_state() {
+        let run = |measured: fn(u64) -> bool| {
+            let mut c = SimCore::new(MicroarchProfile::skylake(), 21);
+            let fuzz = MeasurementFuzz { counter_flip_probability: 0.0, extra_timing_sigma: 60.0 };
+            c.set_measurement_fuzz(Some(fuzz)).unwrap();
             let mut events = Vec::new();
             // Cold first touches, then warm taken and not-taken branches at
             // the same addresses, with a wait in between.
@@ -821,7 +724,7 @@ mod tests {
                     let addr = 0x9000 + i * 6;
                     let outcome = Outcome::from_bool((i + round) % 3 == 0);
                     let ctx = (i % 2) as ContextId;
-                    events.push(if measured {
+                    events.push(if measured(i) {
                         c.timed_branch_in(ctx, addr, outcome, None).0
                     } else {
                         c.execute_branch_in(ctx, addr, outcome, None)
@@ -832,17 +735,111 @@ mod tests {
             let pht: Vec<_> = (0..200u64).map(|i| c.bpu().pht_state(0x9000 + i * 6)).collect();
             let btb: Vec<_> = (0..200u64).map(|i| c.bpu().btb().lookup(0x9000 + i * 6)).collect();
             let counters = [c.counters(0), c.counters(1)];
-            (events, c.rdtscp(), counters, c.bpu().stats(), pht, btb, c.fork_rng().gen::<u64>())
+            (events, c.rdtscp(), counters, c.bpu().stats(), pht, btb)
+        };
+        let throughput = run(|_| false);
+        assert!(throughput.0.iter().any(|e| e.cold) && throughput.0.iter().any(|e| !e.cold));
+        for mixed in [run(|_| true), run(|i| i % 3 == 0)] {
+            assert_eq!(throughput.0, mixed.0, "branch events");
+            assert_eq!(throughput.1, mixed.1, "rdtscp");
+            assert_eq!(throughput.2, mixed.2, "performance counters");
+            assert_eq!(throughput.3, mixed.3, "predictor stats");
+            assert_eq!(throughput.4, mixed.4, "PHT state");
+            assert_eq!(throughput.5, mixed.5, "BTB state");
+        }
+    }
+
+    /// A measured branch draws exactly one latency sample, plus the timing
+    /// jitter when the fuzz has a timing sigma, and a throughput branch
+    /// draws nothing: checked word for word against a reference stream.
+    #[test]
+    fn a_measured_branch_draws_one_latency_sample() {
+        for sigma in [0.0, 60.0] {
+            let seed = 77;
+            let profile = MicroarchProfile::haswell();
+            let timing = TimingModel::new(profile.timing);
+            let fuzz = MeasurementFuzz { counter_flip_probability: 0.0, extra_timing_sigma: sigma };
+            let mut c = SimCore::new(profile, seed);
+            c.set_measurement_fuzz(Some(fuzz)).unwrap();
+            let mut reference = StdRng::seed_from_u64(seed);
+            for i in 0..40u64 {
+                let (addr, outcome) = (0x4000 + (i % 7) * 64, Outcome::from_bool(i % 3 != 0));
+                if i % 4 != 0 {
+                    c.execute_branch(addr, outcome);
+                    continue;
+                }
+                let (ev, latency) = c.timed_branch_in(0, addr, outcome, None);
+                let taken_btb_miss = outcome.is_taken() && !ev.prediction.btb_hit;
+                let expected =
+                    timing.sample_with_btb(&mut reference, ev.mispredicted, ev.cold, taken_btb_miss);
+                assert_eq!(latency, fuzz.jitter_latency(&mut reference, expected), "branch {i}");
+            }
+            let next = StdRng::seed_from_u64(reference.gen()).gen::<u64>();
+            assert_eq!(c.fork_rng().gen::<u64>(), next, "sigma {sigma}: the stream moved on");
+        }
+    }
+
+    /// The measured entry injects the background branches that arrived
+    /// before it, exactly as the throughput entry does: after a stretch of
+    /// quiet branches leaves arrivals pending, both entries retire the same
+    /// event on the same predictor, and the trace shows the burst first.
+    /// (Noise is injected before any latency word is drawn.)
+    #[test]
+    fn a_measured_branch_injects_pending_noise_first() {
+        let run = |measured: bool| {
+            let mut c = SimCore::new(MicroarchProfile::skylake(), 31)
+                .with_noise(NoiseConfig::heavy())
+                .unwrap();
+            // The quiet entry skips the noise check, so arrivals pile up
+            // over a gap far longer than the decay table.
+            for i in 0..200u64 {
+                c.execute_branch_quiet(0, 0x9000 + i * 6, Outcome::from_bool(i % 3 == 0), None);
+            }
+            c.set_tracer(Tracer::ring(16));
+            let (addr, outcome) = (0x9000 + 6 * 5, Outcome::NotTaken);
+            let event = if measured {
+                c.timed_branch_in(0, addr, outcome, None).0
+            } else {
+                c.execute_branch_in(0, addr, outcome, None)
+            };
+            let pht: Vec<_> = (0..200u64).map(|i| c.bpu().pht_state(0x9000 + i * 6)).collect();
+            let trace: Vec<_> = c.take_tracer().drain().events.into_iter().map(|e| e.event).collect();
+            (event, c.bpu().stats(), pht, trace)
         };
         let (throughput, measured) = (run(false), run(true));
-        assert!(throughput.0.iter().any(|e| e.cold) && throughput.0.iter().any(|e| !e.cold));
-        assert_eq!(throughput.0, measured.0, "branch events");
-        assert_eq!(throughput.1, measured.1, "rdtscp");
-        assert_eq!(throughput.2, measured.2, "performance counters");
-        assert_eq!(throughput.3, measured.3, "predictor stats");
-        assert_eq!(throughput.4, measured.4, "PHT state");
-        assert_eq!(throughput.5, measured.5, "BTB state");
-        assert_eq!(throughput.6, measured.6, "next fork_rng value");
+        assert!(throughput.1.branches > 201, "noise arrived during the quiet stretch");
+        assert_eq!(throughput.0, measured.0, "branch event");
+        assert_eq!(throughput.1, measured.1, "predictor stats");
+        assert_eq!(throughput.2, measured.2, "PHT state");
+        match measured.3.as_slice() {
+            [TraceEvent::NoiseBurst { .. }, TraceEvent::Branch { latency: Some(_), .. }] => {}
+            other => panic!("expected a noise burst, then the measured branch: {other:?}"),
+        }
+    }
+
+    /// A rate above one branch per cycle is a typed error that keeps the
+    /// previous configuration, and the largest accepted rate serves a long
+    /// wait with the expected number of arrivals instead of hanging.
+    #[test]
+    fn noise_rates_are_bounded_and_long_waits_terminate() {
+        let mut c = core().with_noise(NoiseConfig::isolated_core()).unwrap();
+        let huge = NoiseConfig { branches_per_kcycle: 1e300, ..NoiseConfig::system_activity() };
+        assert!(matches!(
+            c.set_noise(Some(huge)),
+            Err(crate::ConfigError::OutOfRange { field: "branches_per_kcycle", .. })
+        ));
+        assert_eq!(c.inject_noise_burst(1), 1, "the previous noise stays installed");
+
+        let fastest = NoiseConfig {
+            branches_per_kcycle: NoiseConfig::MAX_BRANCHES_PER_KCYCLE,
+            ..NoiseConfig::system_activity()
+        };
+        c.set_noise(Some(fastest)).unwrap();
+        let before = c.bpu().stats().branches;
+        c.advance_cycles(100_000);
+        let arrived = (c.bpu().stats().branches - before) as f64;
+        assert!((arrived - 100_000.0).abs() < 5.0 * 100_000f64.sqrt(), "{arrived} arrivals");
+        assert_eq!(c.counters(0).branches_retired, 0, "noise retires in no foreground context");
     }
 
     /// A policy using every hook: a per-context index key re-drawn every 50
@@ -976,40 +973,5 @@ mod tests {
         c.timed_branch_in(MAX_CTX, 0x1000, Outcome::Taken, None);
         assert_eq!(c.counters(MAX_CTX).branches_retired, 1);
         assert_eq!(c.counters(0).branches_retired, 0);
-    }
-
-    /// The `exp()` table reproduces `poisson()` exactly: same count, same
-    /// RNG words, over the table's range and past it.
-    #[test]
-    fn poisson_table_matches_poisson() {
-        let max = TimingModel::default().advance_with_btb(true, true, true);
-        let presets =
-            [NoiseConfig::isolated_core(), NoiseConfig::system_activity(), NoiseConfig::heavy()];
-        for bpk in presets.map(|cfg| cfg.branches_per_kcycle) {
-            let table = poisson_table(bpk, max);
-            assert_eq!(table.len() as u64, max + 1);
-            for elapsed in 0..=max + 5 {
-                for seed in 0..50 {
-                    let mut a = StdRng::seed_from_u64(seed);
-                    let mut b = a.clone();
-                    let via_table = noise_arrivals(&mut a, bpk, &table, elapsed);
-                    let direct = poisson(&mut b, noise_lambda(bpk, elapsed));
-                    assert_eq!(via_table, direct, "count at elapsed {elapsed}, bpk {bpk}");
-                    assert_eq!(a, b, "RNG state at elapsed {elapsed}, bpk {bpk}");
-                }
-            }
-        }
-        // Rates outside Knuth's regime, and no noise at all, get no table.
-        assert!(poisson_table(0.0, max).is_empty());
-        assert!(poisson_table(2_000.0, max).is_empty());
-    }
-
-    #[test]
-    fn poisson_mean_is_close() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 20_000;
-        let total: usize = (0..n).map(|_| poisson(&mut rng, 2.5)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 2.5).abs() < 0.1, "poisson mean {mean}");
     }
 }

@@ -9,9 +9,17 @@ use bscope_bpu::VirtAddr;
 /// latency during the second execution, after the instruction has been
 /// placed in the cache". The first touch of a line is reported cold; the
 /// model feeds that into [`TimingModel`](crate::TimingModel).
+///
+/// Each line holds the tag it was filled with and the flush epoch it was
+/// filled in; a line from an earlier epoch is empty, so a flush is one
+/// increment rather than a pass over the cache.
 #[derive(Debug, Clone)]
 pub struct InstructionCache {
-    tags: Vec<Option<u64>>,
+    /// `(epoch, tag)` per line.
+    lines: Vec<(u64, u64)>,
+    /// Current flush epoch; lines of any earlier one are empty. Starts at
+    /// 1, so the zeroed lines of a new cache are empty too.
+    epoch: u64,
     line_shift: u32,
     index_mask: u64,
     /// Index bits between the line offset and the tag (`log2(lines)`).
@@ -33,7 +41,8 @@ impl InstructionCache {
     pub fn new(lines: usize) -> Self {
         assert!(lines.is_power_of_two(), "line count must be a power of two, got {lines}");
         InstructionCache {
-            tags: vec![None; lines],
+            lines: vec![(0, 0); lines],
+            epoch: 1,
             line_shift: Self::LINE_BYTES.trailing_zeros(),
             index_mask: (lines - 1) as u64,
             tag_shift: lines.trailing_zeros(),
@@ -59,8 +68,9 @@ impl InstructionCache {
     #[inline]
     pub fn touch(&mut self, addr: VirtAddr) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
-        let hit = self.tags[idx] == Some(tag);
-        self.tags[idx] = Some(tag);
+        let line = (self.epoch, tag);
+        let hit = self.lines[idx] == line;
+        self.lines[idx] = line;
         self.hits += u64::from(hit);
         self.misses += u64::from(!hit);
         hit
@@ -70,13 +80,14 @@ impl InstructionCache {
     #[must_use]
     pub fn contains(&self, addr: VirtAddr) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
-        self.tags[idx] == Some(tag)
+        self.lines[idx] == (self.epoch, tag)
     }
 
     /// Flushes the whole cache (e.g. on a simulated context switch with a
-    /// hostile OS, §9.2).
+    /// hostile OS, §9.2), in constant time. Leaves [`InstructionCache::stats`]
+    /// unchanged.
     pub fn flush(&mut self) {
-        self.tags.fill(None);
+        self.epoch += 1;
     }
 
     /// (hits, misses) counted since construction.
@@ -127,6 +138,34 @@ mod tests {
         ic.touch(0x2000);
         ic.flush();
         assert!(!ic.contains(0x2000));
+    }
+
+    /// After a flush every line misses once, whatever was resident before
+    /// (including the all-zero line a new cache starts with), no line from
+    /// before the flush comes back, and the hit/miss tally is untouched.
+    #[test]
+    fn flush_makes_every_line_miss_and_keeps_stats() {
+        let mut ic = InstructionCache::new(64);
+        let addrs: Vec<u64> = (0..64).map(|i| i * InstructionCache::LINE_BYTES).collect();
+        for round in 0..3 {
+            for &a in &addrs {
+                ic.touch(a);
+            }
+            assert!(addrs.iter().all(|&a| ic.contains(a)), "round {round} filled every line");
+            let stats = ic.stats();
+            ic.flush();
+            assert_eq!(ic.stats(), stats, "flush leaves the tally alone");
+            assert!(addrs.iter().all(|&a| !ic.contains(a)), "round {round}: a line survived");
+            // A line refilled after the flush does not revive its neighbours.
+            assert!(!ic.touch(addrs[5]) && ic.touch(addrs[5]));
+            assert!(addrs.iter().filter(|&&a| ic.contains(a)).count() == 1);
+        }
+        // Tag 0 at index 0 is not resident in a fresh or flushed cache.
+        let mut fresh = InstructionCache::new(64);
+        assert!(!fresh.contains(0) && !fresh.touch(0) && fresh.touch(0));
+        fresh.flush();
+        assert!(!fresh.touch(0));
+        assert_eq!(fresh.stats(), (1, 2));
     }
 
     #[test]

@@ -108,17 +108,13 @@ impl MeasurementFuzz {
         }
     }
 
-    /// Draws the timing-fuzz words for one branch (none when
-    /// `extra_timing_sigma` is zero). Every branch draws them; only a
-    /// measured one shapes them with [`MeasurementFuzz::jitter_latency`].
-    pub(crate) fn draw_jitter<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<GaussianDraw> {
-        (self.extra_timing_sigma > 0.0).then(|| GaussianDraw::draw(rng))
-    }
-
-    /// Applies drawn timing fuzz to a measured latency.
-    pub(crate) fn jitter_latency(&self, latency: u64, jitter: Option<GaussianDraw>) -> u64 {
-        let Some(jitter) = jitter else { return latency };
-        let jitter = self.extra_timing_sigma * jitter.value();
+    /// Applies timing fuzz to a measured latency; draws a Gaussian's two
+    /// words unless `extra_timing_sigma` is zero.
+    pub(crate) fn jitter_latency<R: Rng + ?Sized>(&self, rng: &mut R, latency: u64) -> u64 {
+        if self.extra_timing_sigma == 0.0 {
+            return latency;
+        }
+        let jitter = self.extra_timing_sigma * GaussianDraw::draw(rng).value();
         (latency as f64 + jitter).max(1.0).round() as u64
     }
 }
@@ -143,9 +139,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         assert!(fuzz.fuzz_miss(&mut rng, true));
         assert!(!fuzz.fuzz_miss(&mut rng, false));
-        let jitter = fuzz.draw_jitter(&mut rng);
-        assert!(jitter.is_none(), "zero sigma draws no words");
-        assert_eq!(fuzz.jitter_latency(120, jitter), 120);
+        let untouched = rng.clone();
+        assert_eq!(fuzz.jitter_latency(&mut rng, 120), 120);
+        assert_eq!(rng, untouched, "zero sigma draws no words");
     }
 
     #[test]

@@ -45,8 +45,9 @@ impl TimingModel {
 
     /// Samples a measured latency, additionally charging the front-end
     /// fetch-redirect bubble of a taken branch that missed the BTB — the
-    /// signal prior BTB-presence attacks time (§11). This is the draw
-    /// step followed by the shaping step.
+    /// signal prior BTB-presence attacks time (§11). Draws the two Gaussian
+    /// uniforms, the spike decision and, when the spike fires, its
+    /// magnitude.
     pub fn sample_with_btb<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -54,28 +55,8 @@ impl TimingModel {
         cold: bool,
         taken_btb_miss: bool,
     ) -> u64 {
-        self.shape(self.draw(rng), mispredicted, cold, taken_btb_miss)
-    }
-
-    /// Draws the random words of one latency sample without turning them
-    /// into cycles: the two Gaussian uniforms, the spike decision and, when
-    /// the spike fires, its magnitude. Every branch draws these, so the RNG
-    /// stream is the same whether or not its latency is ever read.
-    #[inline]
-    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> LatencyDraw {
         let gauss = GaussianDraw::draw(rng);
-        let spike = rng.gen_bool(self.params.spike_probability).then(|| rng.gen_range(1e-9..1.0));
-        LatencyDraw { gauss, spike }
-    }
-
-    /// Turns drawn words into a measured latency in cycles.
-    pub(crate) fn shape(
-        &self,
-        draw: LatencyDraw,
-        mispredicted: bool,
-        cold: bool,
-        taken_btb_miss: bool,
-    ) -> u64 {
+        let spike = rng.gen_bool(self.params.spike_probability).then(|| rng.gen_range(1e-9f64..1.0));
         let p = &self.params;
         let mut mean = p.base_hit_cycles;
         let mut sigma = p.jitter_sigma;
@@ -89,8 +70,8 @@ impl TimingModel {
             mean += p.cold_miss_extra;
             sigma = (sigma * sigma + p.cold_jitter_sigma * p.cold_jitter_sigma).sqrt();
         }
-        let mut cycles = mean + sigma * draw.gauss.value();
-        if let Some(u) = draw.spike {
+        let mut cycles = mean + sigma * gauss.value();
+        if let Some(u) = spike {
             // Exponential spike: rare interrupts / SMT contention / TLB walks.
             cycles += p.spike_cycles * (-u.ln());
         }
@@ -99,15 +80,6 @@ impl TimingModel {
         let floor = (p.base_hit_cycles * 0.65).max(1.0);
         cycles.max(floor).round() as u64
     }
-}
-
-/// The random words of one latency sample ([`TimingModel::draw`]), not yet
-/// shaped into cycles ([`TimingModel::shape`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LatencyDraw {
-    gauss: GaussianDraw,
-    /// The spike's uniform, present only when the spike fired.
-    spike: Option<f64>,
 }
 
 impl Default for TimingModel {
@@ -159,8 +131,8 @@ fn advance_cycles(p: &TimingParams, mispredicted: bool, cold: bool, taken_btb_mi
 }
 
 /// The two uniforms of one Box–Muller standard-normal sample (the `rand`
-/// crate alone does not ship distributions), drawn apart from the
-/// transcendental math so callers can skip it when the value goes unread.
+/// crate alone does not ship distributions); [`GaussianDraw::value`] is
+/// the sample.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GaussianDraw {
     u1: f64,
@@ -178,11 +150,6 @@ impl GaussianDraw {
     pub(crate) fn value(self) -> f64 {
         (-2.0 * self.u1.ln()).sqrt() * (std::f64::consts::TAU * self.u2).cos()
     }
-}
-
-/// Standard normal sample via the Box–Muller transform.
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    GaussianDraw::draw(rng).value()
 }
 
 #[cfg(test)]
@@ -279,7 +246,7 @@ mod tests {
     fn gaussian_has_unit_moments() {
         let mut rng = StdRng::seed_from_u64(5);
         let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| GaussianDraw::draw(&mut rng).value()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
